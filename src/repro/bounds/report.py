@@ -64,16 +64,12 @@ def full_report(
     max_input: int = 8,
     node_budget: int = 500_000,
     jobs: int = 1,
-    quotient: bool = False,
     checkpoint_interval: Optional[int] = None,
 ) -> str:
     """Render the comprehensive analysis report (see module docstring).
 
-    ``jobs``, ``quotient`` and ``checkpoint_interval`` thread through to
-    the Karp–Miller frontier engine.  ``jobs`` and the checkpoint
-    interval never change the report; ``quotient`` may shrink the
-    reported node count (pruned exploration) but limits, bounded states
-    and every verdict stay identical.
+    ``jobs`` and ``checkpoint_interval`` thread through to the
+    Karp–Miller frontier engine; neither changes the report.
     """
     lines: List[str] = []
     out = lines.append
@@ -109,7 +105,6 @@ def full_report(
                         [root],
                         node_budget=min(node_budget, 50_000),
                         jobs=jobs,
-                        quotient=quotient,
                         checkpoint_interval=checkpoint_interval,
                     )
                     bounded = [s for i, s in enumerate(indexed.states) if tree.place_bounded(i)]

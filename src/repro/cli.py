@@ -43,9 +43,9 @@ from typing import Iterator, List, Optional
 from .analysis.verification import verify_protocol
 from .bounds.pipeline import section4_certificate, section5_certificate
 from .cache import CacheStore, active_store, protocol_fingerprint, use_store
-from .core.errors import ReproError
+from .core.errors import ProtocolError, ReproError
 from .core.multiset import Multiset
-from .core.parser import parse_predicate
+from .core.parser import PredicateSyntaxError, parse_predicate
 from .core.protocol import PopulationProtocol
 from .io import dumps, loads, to_dot
 from .obs import (
@@ -123,6 +123,14 @@ def resolve_protocol(spec: str) -> PopulationProtocol:
         "(binary:N flat:N majority modulo:R:M leader-unary:N leader-binary:N "
         "election linear:PRED approx-majority double-exp:K leroux-leader:K)"
     )
+
+
+def _parse_predicate(text: str):
+    """Parse a predicate argument, exiting with a one-line error if malformed."""
+    try:
+        return parse_predicate(text)
+    except PredicateSyntaxError as error:
+        raise SystemExit(f"error: malformed predicate: {error}")
 
 
 def _parse_input(text: str) -> Multiset:
@@ -435,7 +443,7 @@ def _caching(args) -> Iterator[None]:
 
 
 def _cmd_compile(args) -> int:
-    predicate = parse_predicate(args.predicate)
+    predicate = _parse_predicate(args.predicate)
     protocol = compile_predicate(predicate)
     if args.trim:
         protocol = protocol.restricted_to_coverable()
@@ -457,7 +465,7 @@ def _cmd_describe(args) -> int:
 
 def _cmd_verify(args) -> int:
     protocol = resolve_protocol(args.protocol)
-    predicate = parse_predicate(args.predicate)
+    predicate = _parse_predicate(args.predicate)
     report = verify_protocol(protocol, predicate, max_input_size=args.max_input)
     if report.ok:
         print(f"OK: {protocol.name} computes {predicate} (all {report.inputs_checked} inputs "
@@ -521,15 +529,18 @@ def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int
     # from the emitted artifact alone.
     root_seed = args.seed if args.seed is not None else 0
     population = protocol.initial_configuration(inputs).size
-    result = run_ensemble(
-        protocol,
-        inputs,
-        trials=args.trials,
-        max_parallel_time=args.max_steps / max(1, population),
-        seed=root_seed,
-        jobs=args.jobs,
-        engine=args.engine,
-    )
+    try:
+        result = run_ensemble(
+            protocol,
+            inputs,
+            trials=args.trials,
+            max_parallel_time=args.max_steps / max(1, population),
+            seed=root_seed,
+            jobs=args.jobs,
+            engine=args.engine,
+        )
+    except ProtocolError as error:
+        raise SystemExit(f"error: {error}")
     if args.json:
         payload = {
             "protocol": protocol.name,
@@ -627,7 +638,7 @@ def _cmd_analyze(args) -> int:
     if args.protocol is None:
         raise SystemExit("error: analyze requires a protocol (or --resume RUN)")
     protocol = resolve_protocol(args.protocol)
-    predicate = parse_predicate(args.predicate) if args.predicate else None
+    predicate = _parse_predicate(args.predicate) if args.predicate else None
     print(
         full_report(
             protocol,
@@ -635,7 +646,6 @@ def _cmd_analyze(args) -> int:
             max_input=args.max_input,
             node_budget=args.node_budget,
             jobs=args.jobs,
-            quotient=args.quotient,
             checkpoint_interval=args.checkpoint_interval,
         )
     )
@@ -1243,7 +1253,7 @@ def _run_scenario_instance(args, scenario, instance, *, conformance: bool) -> di
     outcomes = run_checks(
         protocol,
         instance.checks,
-        instance.options(jobs=args.jobs, quotient=args.quotient, seed=args.seed),
+        instance.options(jobs=args.jobs, seed=args.seed),
     )
     record["checks"] = [outcome.to_dict() for outcome in outcomes]
     record["ok"] = all(outcome.passed for outcome in outcomes) and record.get(
@@ -1411,12 +1421,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=500_000,
         metavar="N",
         help="Karp-Miller / verification node budget (default 500000)",
-    )
-    p.add_argument(
-        "--quotient",
-        action="store_true",
-        help="dedup symmetric configurations in the coverability section "
-        "(same limits and verdicts, exponentially fewer expansions)",
     )
     p.add_argument(
         "--checkpoint-interval",
@@ -1730,12 +1734,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--smallest",
             action="store_true",
             help="only the smallest instance of each selected scenario",
-        )
-        sp.add_argument(
-            "--quotient",
-            action="store_true",
-            help="quotient symmetric configurations in the coverability checks "
-            "(verdicts are identical by contract)",
         )
         sp.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")

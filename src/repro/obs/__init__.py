@@ -13,8 +13,7 @@ This package makes them observable from three angles:
 * :mod:`repro.obs.progress` — rate-limited heartbeats (frontier size,
   basis size, iterations/sec) for the iterative loops;
 * :mod:`repro.obs.metrics` — the counters/timers layer shared with the
-  simulators (grown out of ``repro.simulation.instrumentation``, which
-  remains as a back-compat re-export), with a process-wide registry;
+  simulators, with a process-wide registry;
 * :mod:`repro.obs.summary` — reading traces back and rendering the
   per-span table behind ``repro trace summarize``;
 * :mod:`repro.obs.profile` — deterministic hierarchical work profiles

@@ -518,7 +518,7 @@ def _cache_km_warm() -> Dict[str, int]:
 
 @register_workload(
     "coverability.sharded_cold",
-    description="quotient-dedup Karp–Miller at flat:8, the naive engine's size wall (E18)",
+    description="deduplicating Karp–Miller at flat:8, the naive engine's size wall (E18)",
 )
 def _coverability_sharded_cold() -> Dict[str, int]:
     from ..protocols import flat_threshold
@@ -529,7 +529,7 @@ def _coverability_sharded_cold() -> Dict[str, int]:
     indexed = protocol.indexed()
     x_index = indexed.index[input_state(protocol)]
     root = tuple(OMEGA if i == x_index else 0 for i in range(indexed.n))
-    tree = karp_miller(protocol, [root], node_budget=200_000, quotient=True)
+    tree = karp_miller(protocol, [root], node_budget=200_000)
     return {"nodes": len(tree.nodes), "limits": len(tree.limits)}
 
 
@@ -617,7 +617,7 @@ def _ensemble(jobs: int = 1) -> Dict[str, int]:
 def _synthetic_frontier_trace() -> List[Dict[str, object]]:
     """A deterministic sharded-frontier span forest (JSONL span shape).
 
-    Mimics what a quotiented Karp–Miller run at ``--jobs 8`` records:
+    Mimics what a Karp–Miller run at ``--jobs 8`` records:
     per-round ``parallel.pool``/``parallel.task`` plumbing wrapping
     counter-carrying work spans.  Pure arithmetic — no clock, no RNG —
     so the aggregated profile is an exact reproducibility anchor.

@@ -1,12 +1,11 @@
 """Named counters and phase timers — the metrics half of :mod:`repro.obs`.
 
-Originally this lived in :mod:`repro.simulation.instrumentation` and
-served only the schedulers; it is now the shared metrics layer for the
-whole toolkit.  Simulator runs and the long-running analysis searches
-(Karp–Miller, Pottier completion, the Lemma 5.4 saturation sequence,
-the certificate pipelines) all report through one process-wide
-registry of named :class:`Instrumentation` objects, so a benchmark or
-a ``--json`` artifact can capture *work done* (nodes expanded, leaps
+The shared metrics layer for the whole toolkit.  Simulator runs and
+the long-running analysis searches (Karp–Miller, Pottier completion,
+the Lemma 5.4 saturation sequence, the certificate pipelines) all
+report through one process-wide registry of named
+:class:`Instrumentation` objects, so a benchmark or a ``--json``
+artifact can capture *work done* (nodes expanded, leaps
 rejected, rounds saturated) next to wall-clock time.
 
 The conventions keep the hot paths cheap:

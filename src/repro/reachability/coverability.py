@@ -24,13 +24,13 @@ constructive on concrete protocols; the astronomically larger Rackoff
 Omega entries are represented by ``math.inf``; extended configurations
 are tuples mixing ints and ``inf``.
 
-Both procedures run on the sharded frontier engine of
-:mod:`repro.reachability.frontier`: ``jobs`` fans expansion out across
-the process pool with task-order merging (bit-identical results at any
-width), ``quotient`` prunes automorphic duplicates while preserving the
-limit antichain exactly, and ``checkpoint_interval`` makes long runs
-resumable through the content-addressed cache — see the engine module
-for the soundness arguments.
+Both procedures shard their rounds across the process pool (``jobs``)
+with task-order merging, so results are bit-identical at any width.
+Karp–Miller runs on the deduplicating frontier engine of
+:mod:`repro.reachability.frontier`, which expands each configuration
+(up to protocol automorphism) once and makes long runs resumable
+through the content-addressed cache (``checkpoint_interval``) — see
+the engine module for the soundness arguments.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .frontier import (
     ExtendedConfig,
     KarpMillerFrontier,
     Permutation,
+    _decode_config,
+    _encode_config,
     _leq,
     _transition_pre,
 )
@@ -74,19 +76,18 @@ class KarpMillerTree:
         The set of maximal extended configurations discovered.  Their
         downward closure equals the downward closure of the reachable
         set (restricted to the explored roots).  This is the unique
-        minimal antichain of that closure, so it is identical whether
-        or not the construction ran quotiented or sharded.
+        minimal antichain of that closure, so it is identical at any
+        ``jobs`` and equal to the classic tree's maximal nodes.
     nodes:
-        Every extended configuration created during the construction.
-        Under ``quotient=True`` this is the pruned exploration, a
-        subset of the classic tree's node set.
+        Every extended configuration created during the deduplicated
+        construction.
     accelerations:
         For each node that gained an ω-component, the branch ancestors
         whose strict domination introduced it — the acceleration
         ancestry, preserved through the cache round-trip.
     group:
         The root-fixing automorphism permutations the construction
-        quotiented by (just the identity when ``quotient=False``).
+        deduplicated by (just the identity for an asymmetric protocol).
     """
 
     def __init__(
@@ -96,14 +97,12 @@ class KarpMillerTree:
         nodes: Set[ExtendedConfig],
         accelerations: Optional[Dict[ExtendedConfig, Tuple[ExtendedConfig, ...]]] = None,
         group: Optional[Tuple[Permutation, ...]] = None,
-        quotient: bool = False,
     ):
         self.indexed = indexed
         self.limits = limits
         self.nodes = nodes
         self.accelerations = {} if accelerations is None else accelerations
         self.group = (tuple(range(indexed.n)),) if group is None else group
-        self.quotient = quotient
 
     def covers(self, target: Sequence[int]) -> bool:
         """Is some reachable configuration >= ``target`` (coverability)?"""
@@ -125,7 +124,6 @@ def karp_miller(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     jobs: int = 1,
-    quotient: bool = False,
     checkpoint_interval: Optional[int] = None,
 ) -> KarpMillerTree:
     """Build a Karp–Miller tree from the given roots.
@@ -135,17 +133,17 @@ def karp_miller(
     protocol *for all inputs at once*, which is how the leaderless
     analyses in this package use it.
 
-    ``jobs`` shards frontier expansion across the process pool;
-    ``quotient`` dedups automorphic configurations; both leave the
-    ``limits`` antichain and every coverability verdict bit-identical
-    (the differential suite ``tests/test_coverability_sharded.py``
-    enforces this).  ``checkpoint_interval`` writes a resumable partial
-    tree into the active cache store every that-many expansions; a
-    later identical call (any budget, any jobs) resumes from it.
+    ``jobs`` shards frontier expansion across the process pool and
+    leaves the tree bit-identical (the differential suite
+    ``tests/test_coverability_sharded.py`` enforces this, and checks the
+    limits against independent oracles).  ``checkpoint_interval`` writes
+    a resumable partial tree into the active cache store every
+    that-many expansions; a later identical call (any budget, any jobs)
+    resumes from it.
 
     Results are memoised through :mod:`repro.cache` (content-addressed
-    by protocol, roots, budget and quotient flag) when the active store
-    is enabled; pre-indexed first arguments bypass the cache.
+    by protocol, roots and budget) when the active store is enabled;
+    pre-indexed first arguments bypass the cache.
 
     Raises :class:`SearchBudgetExceeded` when more than ``node_budget``
     tree nodes are created.
@@ -157,17 +155,8 @@ def karp_miller(
         [tuple(root) for root in roots],
         node_budget,
         jobs=jobs,
-        quotient=quotient,
         checkpoint_interval=checkpoint_interval,
     )
-
-
-def _km_encode_config(config: ExtendedConfig) -> List[Union[int, str]]:
-    return ["w" if c == OMEGA else int(c) for c in config]
-
-
-def _km_decode_config(row: Sequence[Union[int, str]]) -> ExtendedConfig:
-    return tuple(OMEGA if c == "w" else int(c) for c in row)
 
 
 def _km_params(arguments):
@@ -175,31 +164,29 @@ def _km_params(arguments):
     # execution strategy, not analysis identity — the differential
     # contract guarantees the result does not depend on them.
     return {
-        "roots": [_km_encode_config(root) for root in arguments["roots"]],
+        "roots": [_encode_config(root) for root in arguments["roots"]],
         "node_budget": int(arguments["node_budget"]),
-        "quotient": bool(arguments["quotient"]),
     }
 
 
 def _km_encode(tree: KarpMillerTree, protocol: PopulationProtocol):
     return {
-        "limits": [_km_encode_config(c) for c in sorted(tree.limits)],
-        "nodes": [_km_encode_config(c) for c in sorted(tree.nodes)],
+        "limits": [_encode_config(c) for c in sorted(tree.limits)],
+        "nodes": [_encode_config(c) for c in sorted(tree.nodes)],
         "accelerations": [
-            [_km_encode_config(node), [_km_encode_config(a) for a in used]]
+            [_encode_config(node), [_encode_config(a) for a in used]]
             for node, used in sorted(tree.accelerations.items())
         ],
         "group": [list(perm) for perm in tree.group],
-        "quotient": bool(tree.quotient),
     }
 
 
 def _km_decode(payload, protocol: PopulationProtocol) -> KarpMillerTree:
     indexed = protocol.indexed()
-    limits = {_km_decode_config(row) for row in payload["limits"]}
-    nodes = {_km_decode_config(row) for row in payload["nodes"]}
+    limits = {_decode_config(row) for row in payload["limits"]}
+    nodes = {_decode_config(row) for row in payload["nodes"]}
     accelerations = {
-        _km_decode_config(node): tuple(_km_decode_config(a) for a in used)
+        _decode_config(node): tuple(_decode_config(a) for a in used)
         for node, used in payload["accelerations"]
     }
     group = tuple(tuple(int(i) for i in perm) for perm in payload["group"])
@@ -207,12 +194,7 @@ def _km_decode(payload, protocol: PopulationProtocol) -> KarpMillerTree:
         if len(config) != indexed.n:
             raise ValueError("configuration width does not match the protocol")
     return KarpMillerTree(
-        indexed,
-        limits,
-        nodes,
-        accelerations=accelerations,
-        group=group,
-        quotient=bool(payload["quotient"]),
+        indexed, limits, nodes, accelerations=accelerations, group=group
     )
 
 
@@ -228,7 +210,6 @@ def _karp_miller(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     jobs: int = 1,
-    quotient: bool = False,
     checkpoint_interval: Optional[int] = None,
 ) -> KarpMillerTree:
     indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
@@ -238,14 +219,12 @@ def _karp_miller(
         transitions=len(indexed.deltas),
         node_budget=node_budget,
         jobs=jobs,
-        quotient=int(quotient),
     ) as span:
         engine = KarpMillerFrontier(
             indexed,
             roots,
             node_budget=node_budget,
             jobs=jobs,
-            quotient=quotient,
             checkpoint_interval=checkpoint_interval,
         )
         try:
@@ -271,7 +250,6 @@ def _karp_miller(
         result.nodes,
         accelerations=result.accelerations,
         group=result.group,
-        quotient=quotient,
     )
 
 
@@ -282,12 +260,9 @@ def is_coverable_from(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     jobs: int = 1,
-    quotient: bool = False,
 ) -> bool:
     """Coverability query: can ``root`` reach some ``C >= target``?"""
-    tree = karp_miller(
-        protocol, [root], node_budget=node_budget, jobs=jobs, quotient=quotient
-    )
+    tree = karp_miller(protocol, [root], node_budget=node_budget, jobs=jobs)
     return tree.covers(target)
 
 

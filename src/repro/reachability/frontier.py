@@ -1,4 +1,4 @@
-"""The sharded, canonicalised, resumable Karp–Miller frontier engine.
+"""The sharded, deduplicating, resumable Karp–Miller frontier engine.
 
 :mod:`repro.reachability.coverability` exposes the classic Karp–Miller
 API; this module is the machinery underneath it.  The classic
@@ -6,31 +6,26 @@ construction is a depth-first walk whose cost is dominated not by the
 number of *distinct* extended configurations but by the number of
 *branches* re-deriving them: on ``flat:8`` the tree has 45 nodes yet the
 naive walk performs 464,821 expansions.  The engine here removes that
-wall with three independently switchable mechanisms:
+wall:
 
-* **Level-synchronous frontier.**  The tree is grown breadth-first,
-  one level per round.  Without deduplication the set of nodes created
-  is *exactly* the classic tree's node set (the tree is a function of
-  the (config, ancestor-chain) pairs, not of visit order), so the
-  default engine is bit-compatible with the historical DFS — same
-  ``nodes``, same ``limits`` — while exposing round boundaries for
-  sharding and checkpointing.
-
-* **Symmetry quotient** (``quotient=True``).  Root-fixing protocol
-  automorphisms are computed from the cache's colour-refinement classes
-  (:func:`repro.cache.fingerprint._refined_colors`); a configuration is
-  enqueued only if its canonical form (minimum over the group orbit)
-  has never been enqueued before.  Branches still carry *genuine*
-  ancestor chains — acceleration never compares against a permuted
-  configuration, which keeps ω-introduction sound.  The exploration
-  becomes an exact-dedup subtree of the classic tree; completeness
-  holds by a jump argument: a pruned leaf equals an automorphic image
-  of an earlier-expanded node, and the remaining firing sequence can be
-  replayed through the automorphism from there.  At finalisation the
-  node set is closed under the group orbit before taking maximal
-  elements, so ``limits`` is the same minimal antichain (the clover)
-  the unquotiented run produces — bit-identical limits and verdicts,
-  exponentially fewer expansions.
+* **Deduplicating frontier.**  The tree is grown breadth-first, one
+  level per round, and a configuration is enqueued only if its
+  canonical form — the minimum over its orbit under the root-fixing
+  protocol automorphisms, computed from the cache's colour-refinement
+  classes (:func:`repro.cache.fingerprint._refined_colors`) — has never
+  been enqueued before.  With the trivial group this is exact
+  deduplication; every expansion is of a distinct canonical
+  configuration, so the work is bounded by the node count.  Branches
+  still carry *genuine* ancestor chains — acceleration never compares
+  against a permuted configuration, which keeps ω-introduction sound.
+  Completeness holds by a jump argument: a pruned leaf equals an
+  automorphic image of an earlier-expanded node, and the remaining
+  firing sequence can be replayed through the automorphism from there.
+  At finalisation the node set is closed under the group orbit before
+  taking maximal elements, so ``limits`` is the minimal antichain (the
+  clover) of the classic tree.  The tests check it against the
+  independent net-level walk :func:`repro.vas.karp_miller` and against
+  backward coverability.
 
 * **Sharding** (``jobs>1``).  Each round's frontier is split into
   contiguous chunks expanded by :func:`repro.parallel.run_tasks`
@@ -41,7 +36,7 @@ wall with three independently switchable mechanisms:
 * **Checkpointing** (``checkpoint_interval``).  At round boundaries the
   engine snapshots (frontier, nodes, visited, accelerations) into the
   content-addressed cache, keyed by (protocol fingerprint,
-  presentation, roots, quotient flag) — *not* by budget or jobs, so a
+  presentation, roots) — *not* by budget or jobs, so a
   budget-exceeded run leaves a checkpoint a larger-budget rerun picks
   up, and a SIGKILL'd ``repro analyze`` resumes via ``--resume``.
   Checkpoints register with the flight recorder (``km-checkpoint`` /
@@ -59,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -143,7 +137,6 @@ def _transition_profile(indexed: IndexedProtocol) -> Dict[Tuple[Tuple[int, int],
 def configuration_symmetries(
     protocol: Union[PopulationProtocol, IndexedProtocol],
     roots: Sequence[ExtendedConfig],
-    symmetry_budget: int = DEFAULT_SYMMETRY_BUDGET,
 ) -> Tuple[Permutation, ...]:
     """Protocol automorphisms (as index permutations) fixing every root.
 
@@ -154,9 +147,9 @@ def configuration_symmetries(
     closed under composition and inverse by construction — returned in
     the ``c[j] -> c[perm[j]]`` action convention, identity first.
 
-    When the candidate count exceeds ``symmetry_budget`` the search is
-    skipped entirely and only the identity is returned: a smaller group
-    merely weakens the quotient, never its soundness.
+    When the candidate count exceeds :data:`DEFAULT_SYMMETRY_BUDGET` the
+    search is skipped entirely and only the identity is returned: a
+    smaller group merely weakens the deduplication, never its soundness.
     """
     indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
     base = indexed.protocol
@@ -176,7 +169,7 @@ def configuration_symmetries(
     candidates = 1
     for block in blocks:
         candidates *= math.factorial(len(block))
-        if candidates > symmetry_budget:
+        if candidates > DEFAULT_SYMMETRY_BUDGET:
             return (identity,)
     if candidates <= 1:
         return (identity,)
@@ -259,7 +252,7 @@ class _FrontierState:
         self,
         frontier: List[FrontierEntry],
         nodes: Set[ExtendedConfig],
-        visited: Optional[Set[ExtendedConfig]],
+        visited: Set[ExtendedConfig],
         accelerations: Dict[ExtendedConfig, Set[ExtendedConfig]],
         expansions: int,
         rounds: int,
@@ -275,7 +268,7 @@ class _FrontierState:
         return _FrontierState(
             frontier=self.frontier,  # rebuilt (never mutated) between rounds
             nodes=set(self.nodes),
-            visited=None if self.visited is None else set(self.visited),
+            visited=set(self.visited),
             accelerations={node: set(used) for node, used in self.accelerations.items()},
             expansions=self.expansions,
             rounds=self.rounds,
@@ -296,11 +289,7 @@ class _FrontierState:
             for config, ancestors in self.frontier
         ]
         nodes = sorted(cid(config) for config in sorted(self.nodes))
-        visited = (
-            None
-            if self.visited is None
-            else sorted(cid(config) for config in sorted(self.visited))
-        )
+        visited = sorted(cid(config) for config in sorted(self.visited))
         accelerations = [
             [cid(node), sorted(cid(a) for a in sorted(used))]
             for node, used in sorted(self.accelerations.items())
@@ -329,11 +318,9 @@ class _FrontierState:
             for index, ancestors in payload["frontier"]
         ]
         nodes = {configs[index] for index in payload["nodes"]}
-        visited = (
-            None
-            if payload["visited"] is None
-            else {configs[index] for index in payload["visited"]}
-        )
+        if payload["visited"] is None:
+            raise ValueError("checkpoint carries no visited set")
+        visited = {configs[index] for index in payload["visited"]}
         accelerations = {
             configs[index]: {configs[a] for a in used}
             for index, used in payload["accelerations"]
@@ -352,7 +339,6 @@ def checkpoint_key(
     fingerprint: str,
     presentation: str,
     roots: Sequence[ExtendedConfig],
-    quotient: bool,
 ) -> str:
     """Content address of a resumable run.
 
@@ -367,7 +353,6 @@ def checkpoint_key(
             "fingerprint": fingerprint,
             "presentation": presentation,
             "roots": [_encode_config(root) for root in roots],
-            "quotient": bool(quotient),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -447,10 +432,7 @@ class KarpMillerFrontier:
         *,
         node_budget: int,
         jobs: int = 1,
-        quotient: bool = False,
         checkpoint_interval: Optional[int] = None,
-        symmetry_budget: int = DEFAULT_SYMMETRY_BUDGET,
-        expansion_budget: Optional[int] = None,
     ) -> None:
         self.indexed = (
             protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
@@ -462,21 +444,10 @@ class KarpMillerFrontier:
                 raise ValueError("root configuration width does not match the protocol")
         self.node_budget = node_budget
         self.jobs = resolve_jobs(jobs)
-        self.quotient = quotient
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
         self.checkpoint_interval = checkpoint_interval
-        self.symmetry_budget = symmetry_budget
-        # The node budget bounds *distinct* labels, not work: a tree of
-        # 45 nodes can cost 10^5+ branch expansions (flat:8).  Callers
-        # exploring adversarial protocols (property tests) can bound
-        # the work itself.
-        self.expansion_budget = expansion_budget
-        self.group: Tuple[Permutation, ...] = (
-            configuration_symmetries(self.indexed, self.roots, symmetry_budget)
-            if quotient
-            else (tuple(range(self.indexed.n)),)
-        )
+        self.group = configuration_symmetries(self.indexed, self.roots)
         self.stats = FrontierStats()
         self._checkpoint_key: Optional[str] = None
         self._fingerprint: Optional[str] = None
@@ -501,7 +472,7 @@ class KarpMillerFrontier:
             except UncacheableProtocolError:
                 return None
             self._checkpoint_key = checkpoint_key(
-                self._fingerprint, presentation, self.roots, self.quotient
+                self._fingerprint, presentation, self.roots
             )
         return store
 
@@ -535,9 +506,6 @@ class KarpMillerFrontier:
         except (KeyError, ValueError, TypeError, IndexError):
             store.invalidate(CHECKPOINT_ANALYSIS, self._checkpoint_key)
             return None
-        if self.quotient and state.visited is None:
-            store.invalidate(CHECKPOINT_ANALYSIS, self._checkpoint_key)
-            return None
         run = current_run()
         if run is not None:
             run.event(
@@ -555,12 +523,11 @@ class KarpMillerFrontier:
     def _initial_state(self) -> _FrontierState:
         nodes: Set[ExtendedConfig] = set()
         frontier: List[FrontierEntry] = []
-        visited: Optional[Set[ExtendedConfig]] = set() if self.quotient else None
+        visited: Set[ExtendedConfig] = set()
         for root in self.roots:
             nodes.add(root)
             frontier.append((root, ()))
-            if visited is not None:
-                visited.add(canonical_config(root, self.group))
+            visited.add(canonical_config(root, self.group))
         return _FrontierState(
             frontier=frontier,
             nodes=nodes,
@@ -629,13 +596,6 @@ class KarpMillerFrontier:
 
     def _expand_round(self, state: _FrontierState, meter: Any, pool: Any = None) -> None:
         frontier = state.frontier
-        if (
-            self.expansion_budget is not None
-            and state.expansions + len(frontier) > self.expansion_budget
-        ):
-            raise SearchBudgetExceeded(
-                f"Karp-Miller construction exceeded {self.expansion_budget} expansions"
-            )
         chunk = default_chunk_size(len(frontier), self.jobs)
         ranges = chunk_ranges(len(frontier), chunk)
         payloads = [(self.protocol, frontier[start:stop]) for start, stop in ranges]
@@ -659,12 +619,11 @@ class KarpMillerFrontier:
                         state.accelerations.setdefault(successor, set()).update(used)
                     if terminated:
                         continue
-                    if visited is not None:
-                        canon = canonical_config(successor, self.group)
-                        if canon in visited:
-                            self.stats.dedup_hits += 1
-                            continue
-                        visited.add(canon)
+                    canon = canonical_config(successor, self.group)
+                    if canon in visited:
+                        self.stats.dedup_hits += 1
+                        continue
+                    visited.add(canon)
                     next_frontier.append((successor, chain))
                 meter.tick()
         state.expansions += len(frontier)
@@ -675,10 +634,9 @@ class KarpMillerFrontier:
         """Maximal elements of the orbit closure of the node set.
 
         With the trivial group this is the classic "maximal nodes"
-        computation.  Under a quotient the closure restores the pruned
-        automorphic images first, so the resulting antichain is the
-        same clover — bit-identical limits — the unquotiented tree
-        yields.
+        computation.  Otherwise the closure first restores the
+        automorphic images the dedup pruned, so the resulting antichain
+        is the clover of the classic tree.
         """
         if len(self.group) > 1:
             closure: Set[ExtendedConfig] = set()

@@ -15,7 +15,7 @@ from .convergence import ConvergenceStats, convergence_scaling, fit_nlogn, measu
 from .fast import BatchScheduler
 from .vectorized import VectorEnsembleScheduler, VectorRunResult
 from .faults import Fault, FaultyRunResult, corrupt, crash, run_with_faults
-from .instrumentation import Instrumentation, InstrumentationSnapshot
+from ..obs import Instrumentation, InstrumentationSnapshot
 from .scheduler import AgentListScheduler, CountScheduler, SimulationResult, StepOutcome
 from .statistics import TimeSeries, record_time_series
 from .trace import Trace, TraceEvent, record_trace

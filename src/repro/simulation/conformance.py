@@ -51,10 +51,9 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 from ..core.errors import ConfigurationError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
-from ..obs import get_tracer
+from ..obs import Instrumentation, InstrumentationSnapshot, get_tracer
 from ..parallel import TaskEnvelope, merge_snapshots, run_tasks
 from .fast import BatchScheduler
-from .instrumentation import Instrumentation, InstrumentationSnapshot
 from .scheduler import AgentListScheduler, CountScheduler
 from .vectorized import VectorEnsembleScheduler
 

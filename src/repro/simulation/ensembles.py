@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.protocol import PopulationProtocol
+from ..obs import Instrumentation, InstrumentationSnapshot
 from ..parallel import TaskEnvelope, chunk_ranges, default_chunk_size, run_tasks
-from .instrumentation import Instrumentation, InstrumentationSnapshot
 from .scheduler import CountScheduler
 
 __all__ = ["EnsembleResult", "run_ensemble", "ENSEMBLE_ENGINES"]

@@ -48,8 +48,7 @@ import numpy as np
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
-from ..obs import get_tracer, progress
-from .instrumentation import Instrumentation
+from ..obs import Instrumentation, get_tracer, progress
 from .scheduler import SimulationResult, _is_silent_consensus
 
 __all__ = ["BatchScheduler"]

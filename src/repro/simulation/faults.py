@@ -32,7 +32,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple, Union
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
-from .instrumentation import Instrumentation, InstrumentationSnapshot
+from ..obs import Instrumentation, InstrumentationSnapshot
 from .scheduler import CountScheduler, _is_silent_consensus
 
 __all__ = ["Fault", "crash", "corrupt", "FaultyRunResult", "run_with_faults"]

@@ -32,8 +32,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import IndexedProtocol, PopulationProtocol
-from ..obs import get_tracer, progress
-from .instrumentation import Instrumentation, InstrumentationSnapshot
+from ..obs import Instrumentation, InstrumentationSnapshot, get_tracer, progress
 
 __all__ = ["StepOutcome", "AgentListScheduler", "CountScheduler", "SimulationResult"]
 

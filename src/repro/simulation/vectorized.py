@@ -47,8 +47,7 @@ import numpy as np
 from ..core.errors import ProtocolError
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
-from ..obs import get_tracer, progress
-from .instrumentation import Instrumentation, InstrumentationSnapshot
+from ..obs import Instrumentation, InstrumentationSnapshot, get_tracer, progress
 
 __all__ = ["VectorEnsembleScheduler", "VectorRunResult"]
 

@@ -188,7 +188,7 @@ def instrumentation_snapshots(max_entries: int = 4):
     """
     import hypothesis.strategies as st
 
-    from .simulation.instrumentation import InstrumentationSnapshot
+    from .obs import InstrumentationSnapshot
 
     names = st.sampled_from(["interactions", "silent_checks", "runs", "steps", "probes"])
     return st.builds(

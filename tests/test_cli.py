@@ -50,6 +50,33 @@ class TestResolveProtocol:
             resolve_protocol("binary:zero")
 
 
+MALFORMED_INPUTS = [
+    (["describe", "nonsense:1"], "is neither a file nor a builtin"),
+    (["describe", "binary:zero"], "cannot build 'binary:zero'"),
+    (["simulate", "majority", "--input", "x=oops"], "malformed input assignment"),
+    (["verify", "binary:3", "x >="], "malformed predicate"),
+    (["compile", "x >="], "malformed predicate"),
+    (["analyze", "binary:3", "x >= 3 +"], "malformed predicate"),
+    (
+        ["simulate", "binary:4", "--input", "4000000000", "--trials", "2", "--engine", "vector"],
+        "exceeds the vector engine's int64 pair-weight range",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", MALFORMED_INPUTS, ids=[" ".join(argv) for argv, _ in MALFORMED_INPUTS]
+)
+def test_malformed_input_is_a_one_line_error(argv, message):
+    """Bad input exits non-zero with one ``error:`` line, never a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    text = exit_info.value.code
+    assert isinstance(text, str), "SystemExit(str) prints the text and exits 1"
+    assert text.startswith("error: ") and "\n" not in text
+    assert message in text
+
+
 class TestCommands:
     def test_describe(self, capsys):
         assert main(["describe", "binary:4"]) == 0

@@ -196,18 +196,11 @@ class TestCoverabilityLaws:
             st.tuples(*[st.integers(0, 2) for _ in range(indexed.n)])
         )
         big = tuple(a + b for a, b in zip(small, extra))
-        # quotient=True bounds the work globally (visited-set dedup);
-        # verdict equivalence with the plain engine is pinned by the
-        # differential suite, so the law proved here transfers.
         try:
-            covered_small = is_coverable_from(
-                protocol, small, target, node_budget=5_000, quotient=True
-            )
+            covered_small = is_coverable_from(protocol, small, target, node_budget=5_000)
             if not covered_small:
                 return
-            covered_big = is_coverable_from(
-                protocol, big, target, node_budget=5_000, quotient=True
-            )
+            covered_big = is_coverable_from(protocol, big, target, node_budget=5_000)
         except SearchBudgetExceeded:
             assume(False)
         assert covered_big

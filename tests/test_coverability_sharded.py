@@ -1,13 +1,18 @@
-"""Differential harness for the sharded/quotiented/resumable Karp–Miller.
+"""Differential harness for the sharded, deduplicating, resumable Karp–Miller.
 
 The engine in :mod:`repro.reachability.frontier` promises a strong
 contract: *execution strategy never changes the answer*.  Serial,
-``jobs=2``, ``jobs=4``, symmetry-quotiented and killed-then-resumed
-runs must all produce bit-identical limit sets and coverability
-verdicts.  This module enforces that contract over a corpus of the
-paper's protocol constructions, plus:
+``jobs=2``, ``jobs=4`` and killed-then-resumed runs must all produce
+bit-identical trees and coverability verdicts.  This module enforces
+that contract over a corpus of the paper's protocol constructions,
+plus:
 
-* renaming-invariance of the quotient engine (Hypothesis, via
+* agreement with code outside the frontier engine — the net-level
+  walk :func:`repro.vas.karp_miller` for finite roots, and
+  :func:`backward_coverability_basis` for every unit-target verdict —
+  on the corpus and on random protocols (Hypothesis);
+* the work bound of deduplication: at most one expansion per node;
+* renaming-invariance of the limits (Hypothesis, via
   :func:`repro.testing.renamings`);
 * kill-then-resume equality through the content-addressed cache and
   the flight recorder (checkpoint events + manifest entries);
@@ -42,7 +47,7 @@ import json
 import os
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -73,6 +78,8 @@ from repro.reachability.frontier import (
 )
 from repro.testing import protocols as random_protocols
 from repro.testing import renamings
+from repro.vas import from_protocol
+from repro.vas import karp_miller as vas_karp_miller
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "coverability_trees.json")
 KM_GOLDEN_VERSION = 1
@@ -199,27 +206,63 @@ class TestShardedDifferential:
         assert len(messages) == 1
 
 
-# ------------------------------------------------------------------- quotient
+# ------------------------------------------------------ independent oracles
+
+
+def _vas_limits(protocol, root):
+    """Limits of the net-level Karp–Miller walk, in indexed state order.
+
+    :func:`repro.vas.karp_miller` is the classic per-branch walk with no
+    deduplication, symmetry or sharding, written against Petri nets
+    rather than the frontier engine: an independent oracle for finite
+    roots.
+    """
+    indexed = protocol.indexed()
+    net = from_protocol(protocol)
+    initial = Multiset({s: int(root[indexed.index[s]]) for s in indexed.states})
+    tree = vas_karp_miller(net, initial)
+    order = [net.places.index(s) for s in indexed.states]
+    return frozenset(tuple(limit[i] for i in order) for limit in tree.limits)
+
+
+def _assert_matches_oracles(protocol, root, node_budget=200_000):
+    """Finite roots: limits equal the VAS walk's.  Every root: each
+    unit-target verdict equals backward coverability's (some basis
+    element lies below the root)."""
+    result = KarpMillerFrontier(protocol, [root], node_budget=node_budget).run()
+    # Every expansion is of a distinct canonical configuration.
+    assert result.stats.expansions <= len(result.nodes)
+    if all(c != OMEGA for c in root):
+        assert frozenset(result.limits) == _vas_limits(protocol, root), root
+    tree = KarpMillerTree(protocol.indexed(), result.limits, result.nodes)
+    n = len(root)
+    for i in range(n):
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        basis = backward_coverability_basis(protocol, unit)
+        backward = any(all(b <= r for b, r in zip(element, root)) for element in basis)
+        assert tree.covers(unit) == backward, (root, i)
 
 
 class TestQuotientDifferential:
     @pytest.mark.parametrize("name,protocol,roots", CORPUS, ids=CORPUS_IDS)
     def test_quotient_matches_plain(self, name, protocol, roots):
-        plain = karp_miller(protocol, roots, node_budget=200_000)
-        quotiented = karp_miller(protocol, roots, node_budget=200_000, quotient=True)
-        # The quotient prunes *exploration*, never the clover: limit
-        # sets are bit-identical and every verdict agrees.
-        assert frozenset(quotiented.limits) == frozenset(plain.limits), name
-        assert set(quotiented.nodes) <= set(plain.nodes), name
-        assert _verdicts(protocol, quotiented) == _verdicts(protocol, plain)
+        """The engine against plain Karp–Miller and backward coverability."""
+        for root in roots:
+            _assert_matches_oracles(protocol, root)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_protocols_match_oracles(self, data):
+        protocol = data.draw(random_protocols(max_states=3))
+        population = data.draw(st.integers(2, 4))
+        for root in (omega_root(protocol), protocol.indexed().initial_counts(population)):
+            _assert_matches_oracles(protocol, root, node_budget=5_000)
 
     def test_quotient_and_jobs_compose(self):
         protocol = flat_threshold(7)
         root = omega_root(protocol)
-        serial = karp_miller(protocol, [root], node_budget=200_000, quotient=True)
-        sharded = karp_miller(
-            protocol, [root], node_budget=200_000, quotient=True, jobs=4
-        )
+        serial = karp_miller(protocol, [root], node_budget=200_000)
+        sharded = karp_miller(protocol, [root], node_budget=200_000, jobs=4)
         assert _tree_signature(sharded) == _tree_signature(serial)
 
     def test_twin_group_is_nontrivial(self):
@@ -234,13 +277,12 @@ class TestQuotientDifferential:
 
     def test_twin_quotient_prunes_symmetric_branch(self):
         protocol = twin()
-        root = omega_root(protocol)
-        plain = KarpMillerFrontier(protocol, [root], node_budget=10_000).run()
-        quot = KarpMillerFrontier(
-            protocol, [root], node_budget=10_000, quotient=True
-        ).run()
-        assert quot.stats.dedup_hits > 0
-        assert frozenset(quot.limits) == frozenset(plain.limits)
+        root = (4, 0, 0)
+        result = KarpMillerFrontier(protocol, [root], node_budget=10_000).run()
+        assert result.stats.dedup_hits > 0
+        # The orbit closure restores the pruned mirror images.
+        assert len(result.limits) > len(result.nodes)
+        assert frozenset(result.limits) == _vas_limits(protocol, root)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -248,22 +290,13 @@ class TestQuotientDifferential:
         protocol = data.draw(random_protocols(max_states=3))
         mapping = data.draw(renamings(protocol))
         renamed = protocol.renamed(mapping, name="renamed")
-        root = omega_root(renamed)
-        try:
-            plain = KarpMillerFrontier(
-                renamed, [root], node_budget=5_000, expansion_budget=20_000
-            ).run()
-            quot = KarpMillerFrontier(
-                renamed,
-                [root],
-                node_budget=5_000,
-                expansion_budget=20_000,
-                quotient=True,
-            ).run()
-        except SearchBudgetExceeded:
-            assume(False)
-        assert frozenset(quot.limits) == frozenset(plain.limits)
-        assert set(quot.nodes) <= set(plain.nodes)
+        original = karp_miller(protocol, [omega_root(protocol)], node_budget=5_000)
+        image = karp_miller(renamed, [omega_root(renamed)], node_budget=5_000)
+        source = protocol.indexed().index
+        inverse = {new: old for old, new in mapping.items()}
+        order = [source[inverse[s]] for s in renamed.indexed().states]
+        mapped = frozenset(tuple(limit[i] for i in order) for limit in original.limits)
+        assert frozenset(image.limits) == mapped
 
 
 # -------------------------------------------------------------- kill / resume
@@ -341,19 +374,21 @@ class TestKillThenResume:
         baseline = KarpMillerFrontier(protocol, [root], node_budget=10_000).run()
         assert frozenset(result.limits) == frozenset(baseline.limits)
 
-    def test_quotient_mismatch_is_not_resumed(self, cache_store):
+    def test_checkpoint_without_visited_set_is_invalidated(self, cache_store):
         protocol = self.PROTOCOL()
         root = omega_root(protocol)
-        self._kill(protocol, root, cache_store)  # plain checkpoint
-        result = KarpMillerFrontier(
-            protocol,
-            [root],
-            node_budget=10_000,
-            quotient=True,
-            checkpoint_interval=1_000,
-        ).run()
-        # different quotient flag -> different content address -> fresh run
-        assert not result.stats.resumed
+        self._kill(protocol, root, cache_store)
+        (path,) = _checkpoint_files(cache_store)
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["payload"]["visited"] = None
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        engine = KarpMillerFrontier(
+            protocol, [root], node_budget=10_000, checkpoint_interval=1_000
+        )
+        assert engine._try_resume(engine._checkpoint_store()) is None
+        assert not _checkpoint_files(cache_store)
 
     def test_recorder_sees_checkpoints_and_resume(self, cache_store, tmp_path):
         from repro.obs.runs import RunRecorder, set_current_run
@@ -397,7 +432,7 @@ class TestCacheCodecRoundTrip:
         """
         protocol = flat_threshold(5)
         root = omega_root(protocol)
-        tree = karp_miller(protocol, [root], node_budget=10_000, quotient=True)
+        tree = karp_miller(protocol, [root], node_budget=10_000)
         assert tree.accelerations, "corpus choice must exercise acceleration"
 
         payload = json.loads(json.dumps(_km_encode(tree, protocol)))
@@ -407,7 +442,6 @@ class TestCacheCodecRoundTrip:
         assert set(restored.nodes) == set(tree.nodes)
         assert restored.accelerations == tree.accelerations
         assert restored.group == tree.group
-        assert restored.quotient == tree.quotient
 
     def test_cache_hit_returns_full_tree(self, cache_store):
         protocol = flat_threshold(5)
@@ -515,7 +549,7 @@ class TestGoldenTrees:
 
     @pytest.mark.parametrize("name", sorted(_golden_protocols()))
     def test_golden_invariant_under_strategy(self, name, golden):
-        """Sharded and quotiented runs reproduce the committed clover."""
+        """Sharded runs reproduce the committed clover."""
         protocol = _golden_protocols()[name]
         entry = golden["trees"][name]
         roots = {
@@ -523,6 +557,5 @@ class TestGoldenTrees:
             "concrete_limits": concrete_root(protocol),
         }
         for field, root in roots.items():
-            for kwargs in ({"jobs": 2}, {"quotient": True}):
-                tree = karp_miller(protocol, [root], node_budget=200_000, **kwargs)
-                assert _encode_limits(tree) == entry[field], (name, field, kwargs)
+            tree = karp_miller(protocol, [root], node_budget=200_000, jobs=2)
+            assert _encode_limits(tree) == entry[field], (name, field)
