@@ -1340,7 +1340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exactly verify a protocol against a predicate")
     p.add_argument("protocol")
     p.add_argument("predicate")
-    p.add_argument("--max-input", type=int, default=10)
+    p.add_argument("--max-input", type=_positive_int, default=10)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("simulate", help="run the uniform random scheduler")
@@ -1382,10 +1382,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded busy-beaver search: enumerate all n-state protocols",
     )
     p.add_argument("states", type=int, help="number of states n (n <= 2 is fast)")
-    p.add_argument("--max-input", type=int, default=8,
+    p.add_argument("--max-input", type=_positive_int, default=8,
                    help="verdicts are exact for inputs up to this size")
     p.add_argument("--max-witnesses", type=int, default=3)
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=_positive_int, default=1_000_000,
                    help="stop enumerating after this many protocols")
     p.add_argument("--chunk-size", type=int, default=None,
                    help="protocols per work chunk (default: auto from --jobs)")
@@ -1397,7 +1397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="produce a checked eta <= a pumping certificate")
     p.add_argument("protocol")
     p.add_argument("--section", type=int, choices=(4, 5), default=4)
-    p.add_argument("--max-input", type=int, default=16)
+    p.add_argument("--max-input", type=_positive_int, default=16)
     _add_obs_flags(p)
     p.set_defaults(handler=_cmd_certify)
 
@@ -1414,10 +1414,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the recorded run's own arguments)",
     )
     p.add_argument("predicate", nargs="?", default=None, help="optional predicate to verify against")
-    p.add_argument("--max-input", type=int, default=8)
+    p.add_argument("--max-input", type=_positive_int, default=8)
     p.add_argument(
         "--node-budget",
-        type=int,
+        type=_positive_int,
         default=500_000,
         metavar="N",
         help="Karp-Miller / verification node budget (default 500000)",

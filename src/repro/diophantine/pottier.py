@@ -29,12 +29,32 @@ vector ``e_i`` whenever the geometric condition
 minimal when ``A t = 0``.  Vectors dominating an already-found minimal
 solution are pruned.  See Contejean & Devie, *An efficient incremental
 algorithm for solving systems of linear Diophantine equations* (1994).
+
+The completion runs one generation at a time on numpy arrays.  The
+frontier is an ``(n, v)`` array and the minimal solutions found so far
+a growing ``(k, v)`` array; one product ``F A^T`` gives every image,
+one more ``(F A^T) A`` the geometric test for every pair ``(t, i)``,
+and one broadcast comparison per chunk of rows checks all extensions
+of those rows against all minimal solutions.  Rows are still decided
+in visiting order — a row is pruned only against the solutions found
+before it — so the frontier and the basis are those of the one-vector
+loop, vector for vector.  Images are int64 unless the budget and the
+matrix entries could overflow it; then they are Python ints.
+
+The frontier is layered by 1-norm: generation ``g`` holds exactly the
+vectors of norm ``g + 1``, each once.  A new minimal solution
+therefore never lies below an earlier one: that would take a larger
+norm, or the same vector twice.  One that lies above an earlier
+solution is rejected when it is reached.  So the solutions form an
+antichain as they are found, and no final mutual-pruning sweep is
+needed.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import SearchBudgetExceeded
 from ..obs import get_tracer, progress
@@ -73,6 +93,32 @@ def is_solution(matrix: Matrix, vector: Sequence[int], *, equalities: bool) -> b
     return all(x >= 0 for x in image)
 
 
+# Cells of one ``(rows, minimal, variables)`` dominance comparison: big
+# enough to amortise numpy's per-call overhead, small enough (256 KiB of
+# booleans) not to set the completion's peak memory.
+_CHUNK_CELLS = 1 << 18
+
+
+def _arithmetic_dtype(matrix: Matrix, frontier_budget: int):
+    """``int64`` when no image or geometric product can overflow it.
+
+    A frontier vector processed within the budget has 1-norm at most
+    ``frontier_budget`` (generation ``g`` holds vectors of norm
+    ``g + 1``), so every entry of ``A t`` and of ``(A t) A`` — and every
+    partial sum computing them — is at most ``frontier_budget`` times
+    ``max_i sum_k (sum_j |a_kj|) |a_ki|`` in absolute value.  Past the
+    int64 range the arrays hold Python ints (``object``) instead.
+    """
+    row_sums = [sum(abs(a) for a in row) for row in matrix]
+    worst = max(
+        sum(row_sum * abs(row[i]) for row_sum, row in zip(row_sums, matrix))
+        for i in range(len(matrix[0]))
+    )
+    if frontier_budget * worst <= np.iinfo(np.int64).max:
+        return np.int64
+    return object
+
+
 def solve_equalities(
     matrix: Matrix,
     frontier_budget: int = DEFAULT_FRONTIER_BUDGET,
@@ -105,15 +151,13 @@ def solve_equalities(
     if num_vars == 0:
         return []
 
-    units: List[Vector] = []
-    unit_images: List[Vector] = []
-    for i in range(num_vars):
-        unit = tuple(1 if j == i else 0 for j in range(num_vars))
-        units.append(unit)
-        unit_images.append(_image(matrix, unit))
-
-    minimal: List[Vector] = []
-    frontier: List[Tuple[Vector, Vector]] = [(u, img) for u, img in zip(units, unit_images)]
+    dtype = _arithmetic_dtype(matrix, frontier_budget)
+    a = np.array(matrix, dtype=dtype)
+    # Frontier vectors and minimal solutions have entries at most their
+    # norm, so they live in the narrowest unsigned dtype that holds it.
+    norm = 1
+    frontier = np.eye(num_vars, dtype=np.uint8)
+    minimal = np.empty((0, num_vars), dtype=np.uint8)
     processed = 0
 
     with get_tracer().span(
@@ -125,50 +169,67 @@ def solve_equalities(
         meter = progress(
             "pottier",
             lambda: {"frontier": len(frontier), "minimal": len(minimal)},
+            stride=1,
         )
-        while frontier:
+        while len(frontier):
             span.add("generations")
-            next_frontier: List[Tuple[Vector, Vector]] = []
-            seen_next = set()
-            for vector, image in frontier:
-                meter.tick()
-                processed += 1
-                if processed > frontier_budget:
-                    span.add("budget_exceeded")
-                    raise SearchBudgetExceeded(
-                        f"Contejean-Devie completion exceeded {frontier_budget} frontier vectors"
-                    )
-                if all(x == 0 for x in image):
-                    if not any(_dominates(vector, m) for m in minimal):
-                        minimal = [m for m in minimal if not _dominates(m, vector)]
-                        minimal.append(vector)
-                    continue
-                for i in range(num_vars):
-                    # Geometric restriction: only grow coordinate i when it
-                    # can reduce the defect, i.e. <A t, A e_i> < 0.
-                    dot = sum(a * b for a, b in zip(image, unit_images[i]))
-                    if dot >= 0:
-                        continue
-                    extended = tuple(v + 1 if j == i else v for j, v in enumerate(vector))
-                    if any(_dominates(extended, m) for m in minimal):
-                        continue
-                    if extended in seen_next:
-                        continue
-                    seen_next.add(extended)
-                    new_image = tuple(a + b for a, b in zip(image, unit_images[i]))
-                    next_frontier.append((extended, new_image))
-            frontier = next_frontier
+            processed += len(frontier)
+            if processed > frontier_budget:
+                span.add("budget_exceeded")
+                raise SearchBudgetExceeded(
+                    f"Contejean-Devie completion exceeded {frontier_budget} frontier vectors"
+                )
+            images = frontier.astype(dtype, copy=False) @ a.T
+            # Geometric restriction: only grow coordinate i of t when it
+            # can reduce the defect, i.e. <A t, A e_i> < 0.
+            grow = (images @ a) < 0
+            zero = np.count_nonzero(images, axis=1) == 0
+
+            # Prune against the minimal solutions known when a row is
+            # reached: those of earlier generations plus the zero-image
+            # rows before it.  ``misses`` counts the coordinates where a
+            # candidate m exceeds the row t: none means t >= m, which
+            # prunes every extension of t; one, at i with m_i = t_i + 1,
+            # means t + e_i >= m.  A zero-image row above an earlier
+            # minimal solution is no new solution, but it may stay among
+            # the candidates: whatever lies above it lies above that
+            # solution too.
+            found = np.flatnonzero(zero)
+            candidates = np.concatenate([minimal, frontier[found]])
+            rows = np.flatnonzero(zero | grow.any(axis=1))
+            known = len(minimal) + np.searchsorted(found, rows)
+            covered = np.zeros(len(frontier), dtype=bool)
+            order = np.arange(len(candidates))
+            step = max(1, _CHUNK_CELLS // max(1, candidates.size))
+            for start in range(0, len(rows) if len(candidates) else 0, step):
+                chunk = slice(start, start + step)
+                at_rows = rows[chunk]
+                vectors = frontier[at_rows]
+                exceeds = candidates[None, :, :] > vectors[:, None, :]
+                misses = np.count_nonzero(exceeds, axis=2)
+                misses[order[None, :] >= known[chunk, None]] = -1
+                covered[at_rows[(misses == 0).any(axis=1)]] = True
+                at, by = np.nonzero(misses == 1)
+                coords = exceeds[at, by].argmax(axis=1)
+                tight = candidates[by, coords] - 1 == vectors[at, coords]
+                grow[at_rows[at[tight]], coords[tight]] = False
+            grow[covered] = False
+            minimal = np.concatenate([minimal, frontier[found[~covered[found]]]])
+            meter.tick(len(frontier))
+
+            # Extensions in visiting order, first occurrence kept.
+            norm += 1
+            parents, coords = np.nonzero(grow)
+            frontier = frontier[parents].astype(np.min_scalar_type(norm), copy=False)
+            frontier[np.arange(len(parents)), coords] += 1
+            keys = frontier.view(np.dtype((np.void, frontier.itemsize * num_vars)))
+            _, first = np.unique(keys.ravel(), return_index=True)
+            frontier = frontier[np.sort(first)]
         meter.finish()
         span.add("frontier_vectors", processed)
         span.add("minimal_solutions", len(minimal))
 
-    # A final sweep: during the run, vectors were only pruned against
-    # minimal solutions found *so far*; prune mutually.
-    result = []
-    for vector in minimal:
-        if not any(v != vector and _dominates(vector, v) for v in minimal):
-            result.append(vector)
-    return sorted(result)
+    return sorted(map(tuple, minimal.tolist()))
 
 
 def solve_inequalities(

@@ -85,14 +85,7 @@ def is_potentially_realisable(protocol: PopulationProtocol, pi: Multiset) -> boo
     For protocols with leaders: ``L(q) + Delta_pi(q) >= 0`` for all
     ``q != x`` (the input coordinate is still free).
     """
-    x = input_state(protocol)
-    displacement = displacement_of(pi)
-    for q in protocol.states:
-        if q == x:
-            continue
-        if protocol.leaders[q] + displacement[q] < 0:
-            return False
-    return True
+    return _minimal_input(protocol, displacement_of(pi)) is not None
 
 
 def minimal_input_for(protocol: PopulationProtocol, pi: Multiset) -> Optional[int]:
@@ -100,10 +93,15 @@ def minimal_input_for(protocol: PopulationProtocol, pi: Multiset) -> Optional[in
 
     ``None`` when ``pi`` is not potentially realisable at all.
     """
-    if not is_potentially_realisable(protocol, pi):
-        return None
+    return _minimal_input(protocol, displacement_of(pi))
+
+
+def _minimal_input(protocol: PopulationProtocol, displacement: Multiset) -> Optional[int]:
+    """:func:`minimal_input_for`, given ``Delta_pi``."""
     x = input_state(protocol)
-    displacement = displacement_of(pi)
+    for q in protocol.states:
+        if q != x and protocol.leaders[q] + displacement[q] < 0:
+            return None
     return max(0, -(protocol.leaders[x] + displacement[x]))
 
 
@@ -140,11 +138,15 @@ class RealisableBasisElement:
 
     def __init__(self, protocol: PopulationProtocol, pi: Multiset):
         self.pi = pi
-        i = minimal_input_for(protocol, pi)
+        displacement = displacement_of(pi)
+        i = _minimal_input(protocol, displacement)
         if i is None:
             raise ValueError(f"{pi.pretty()} is not potentially realisable")
         self.input_size = i
-        self.configuration = witness_configuration(protocol, pi, i)
+        # Natural by the choice of i: the configuration witness_configuration builds.
+        self.configuration = (
+            protocol.leaders + Multiset.singleton(input_state(protocol), i) + displacement
+        )
 
     @property
     def size(self) -> int:

@@ -13,7 +13,9 @@ slice of the micro suite; one end-to-end test runs the real thing.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 
 import pytest
@@ -48,6 +50,28 @@ def _clean_obs_state():
     set_tracer(previous)
     disable_progress()
     clear_registry()
+
+
+@pytest.fixture(scope="session")
+def micro_bench_run(tmp_path_factory):
+    """One real ``repro bench run`` over the whole micro suite, shared.
+
+    The micro suite takes most of a minute, so the CLI tests that need
+    a full artifact share this run: ``(exit code, stdout, artifact path)``.
+    """
+    out = str(tmp_path_factory.mktemp("bench") / "BENCH_demo.json")
+    previous = set_tracer(None)
+    disable_progress()
+    clear_registry()
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(["bench", "run", "--suite", "micro", "--repeats", "2", "--out", out])
+    finally:
+        set_tracer(previous)
+        disable_progress()
+        clear_registry()
+    return code, stdout.getvalue(), out
 
 
 def tiny_suite(repeats: int = 2, **kwargs):
@@ -296,13 +320,10 @@ class TestCompare:
 class TestBenchCli:
     """The acceptance-criterion path: run, artifact, compare, exit codes."""
 
-    def test_bench_run_produces_artifact(self, tmp_path, capsys):
-        out = str(tmp_path / "BENCH_demo.json")
-        code = main(
-            ["bench", "run", "--suite", "micro", "--repeats", "2", "--out", out]
-        )
+    def test_bench_run_produces_artifact(self, micro_bench_run):
+        code, stdout, out = micro_bench_run
         assert code == 0
-        assert "workloads" in capsys.readouterr().out
+        assert "workloads" in stdout
         artifact = load_artifact(out)
         assert artifact["schema"] == SCHEMA_VERSION
         micro = {w.name for w in iter_workloads("micro")}
@@ -351,10 +372,22 @@ class TestBenchCli:
         assert "enumeration.bb2" in out and "micro" in out
         assert main(["bench", "list", "--suite", "full"]) == 0
 
-    def test_baseline_writes_default_path_name(self, tmp_path, capsys, monkeypatch):
+    def test_baseline_writes_default_path_name(
+        self, tmp_path, capsys, monkeypatch, micro_bench_run
+    ):
+        # The handler runs for real; only its suite run is the shared one.
+        shared = load_artifact(micro_bench_run[2])
+        calls = []
+
+        def shared_run_suite(suite, **kwargs):
+            calls.append((suite, kwargs["repeats"]))
+            return copy.deepcopy(shared)
+
+        monkeypatch.setattr("repro.obs.ledger.run_suite", shared_run_suite)
         monkeypatch.chdir(tmp_path)
         code = main(["bench", "baseline", "--repeats", "1"])
         assert code == 0
+        assert calls == [("micro", 1)]
         assert (tmp_path / DEFAULT_BASELINE_PATH).exists()
         artifact = load_artifact(str(tmp_path / DEFAULT_BASELINE_PATH))
         assert artifact["suite"] == "micro"

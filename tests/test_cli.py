@@ -50,29 +50,48 @@ class TestResolveProtocol:
             resolve_protocol("binary:zero")
 
 
+# (argv, expected message, exit code): handlers reject with one
+# ``error:`` line and exit 1; argparse rejects a flag's value with its
+# usage plus one ``error:`` line and exits 2.
 MALFORMED_INPUTS = [
-    (["describe", "nonsense:1"], "is neither a file nor a builtin"),
-    (["describe", "binary:zero"], "cannot build 'binary:zero'"),
-    (["simulate", "majority", "--input", "x=oops"], "malformed input assignment"),
-    (["verify", "binary:3", "x >="], "malformed predicate"),
-    (["compile", "x >="], "malformed predicate"),
-    (["analyze", "binary:3", "x >= 3 +"], "malformed predicate"),
+    (["describe", "nonsense:1"], "is neither a file nor a builtin", 1),
+    (["describe", "binary:zero"], "cannot build 'binary:zero'", 1),
+    (["simulate", "majority", "--input", "x=oops"], "malformed input assignment", 1),
+    (["verify", "binary:3", "x >="], "malformed predicate", 1),
+    (["compile", "x >="], "malformed predicate", 1),
+    (["analyze", "binary:3", "x >= 3 +"], "malformed predicate", 1),
     (
         ["simulate", "binary:4", "--input", "4000000000", "--trials", "2", "--engine", "vector"],
         "exceeds the vector engine's int64 pair-weight range",
+        1,
     ),
+    (["verify", "binary:3", "x >= 3", "--max-input", "-2"], "--max-input: must be >= 1", 2),
+    (["certify", "binary:3", "--max-input", "0"], "--max-input: must be >= 1", 2),
+    (["analyze", "binary:3", "--max-input", "-1"], "--max-input: must be >= 1", 2),
+    (["analyze", "flat:5", "x >= 5", "--node-budget", "-1"], "--node-budget: must be >= 1", 2),
+    (["bb", "2", "--max-input", "0"], "--max-input: must be >= 1", 2),
+    (["bb", "2", "--budget", "-5"], "--budget: must be >= 1", 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,message", MALFORMED_INPUTS, ids=[" ".join(argv) for argv, _ in MALFORMED_INPUTS]
+    "argv,message,code",
+    MALFORMED_INPUTS,
+    ids=[" ".join(argv) for argv, _, _ in MALFORMED_INPUTS],
 )
-def test_malformed_input_is_a_one_line_error(argv, message):
+def test_malformed_input_is_a_one_line_error(argv, message, code, capsys):
     """Bad input exits non-zero with one ``error:`` line, never a traceback."""
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
-    text = exit_info.value.code
-    assert isinstance(text, str), "SystemExit(str) prints the text and exits 1"
+    if code == 1:
+        text = exit_info.value.code
+        assert isinstance(text, str), "SystemExit(str) prints the text and exits 1"
+    else:
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+        # argparse's last line is "<prog>: error: argument ...".
+        text = err.splitlines()[-1].split(": ", 1)[1]
     assert text.startswith("error: ") and "\n" not in text
     assert message in text
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import binary_threshold, flat_threshold
 from repro.core.errors import SearchBudgetExceeded
 from repro.diophantine.pottier import (
+    _dominates,
     brute_force_minimal_solutions,
     decompose,
     is_solution,
@@ -15,6 +17,8 @@ from repro.diophantine.pottier import (
     solve_equalities,
     solve_inequalities,
 )
+from repro.obs import RecordingExporter, Tracer, set_tracer
+from repro.reachability.pseudo import realisability_matrix
 
 
 class TestSolveEqualities:
@@ -55,6 +59,19 @@ class TestSolveEqualities:
         with pytest.raises(SearchBudgetExceeded):
             solve_equalities([[3, -5, 7, -11]], frontier_budget=3)
 
+    def test_entries_past_uint8(self):
+        # Norms past 255 widen the dtype of the frontier vectors.
+        assert solve_equalities([[1, -300]]) == [(300, 1)]
+        assert solve_equalities([[1, 1, -260]]) == [(a, 260 - a, 1) for a in range(261)]
+
+    def test_products_past_int64(self):
+        # <A e_1, A e_2> = -1.6e19 overflows int64: the products must be
+        # computed on Python ints, not wrapped silently.
+        assert solve_equalities([[4 * 10**9, -4 * 10**9]]) == [(1, 1)]
+        matrix = [[1, 1, -2], [2, -1, 0]]
+        scaled = [[a * 10**12 for a in row] for row in matrix]
+        assert solve_equalities(scaled) == solve_equalities(matrix) == [(2, 4, 3)]
+
 
 class TestAgainstBruteForce:
     @settings(max_examples=30)
@@ -72,6 +89,10 @@ class TestAgainstBruteForce:
         expected = [v for v in reference if sum(v) <= min(bound, 9)]
         computed = [v for v in basis if sum(v) <= min(bound, 9)]
         assert set(computed) == set(expected)
+        # The result is an antichain of non-zero solutions.
+        for v in basis:
+            assert any(v) and is_solution(matrix, v, equalities=True)
+            assert not any(w != v and _dominates(v, w) for w in basis)
 
     def test_inequalities_small_system(self):
         matrix = [[1, -1, 0], [0, 1, -1]]
@@ -104,6 +125,75 @@ class TestInequalities:
             for b in range(5):
                 if is_solution(matrix, (a, b), equalities=False):
                     assert decompose(basis, (a, b)) is not None, (a, b)
+
+
+def _slack_system(matrix):
+    """``A y - s = 0``: the equality system ``solve_inequalities`` solves."""
+    return [
+        list(row) + [-1 if k == r else 0 for k in range(len(matrix))]
+        for r, row in enumerate(matrix)
+    ]
+
+
+def _traced_counters(matrix, **kwargs):
+    recorder = RecordingExporter()
+    previous = set_tracer(Tracer([recorder]))
+    try:
+        basis = solve_equalities(matrix, **kwargs)
+    finally:
+        set_tracer(previous)
+    (record,) = [r for r in recorder.records if r["name"] == "pottier.solve_equalities"]
+    return basis, record["counters"]
+
+
+# (frontier_vectors, minimal_solutions) of the realisability systems:
+# the numbers the completion's work ledger is compared against.
+REALISABILITY_WORK = [
+    (flat_threshold, 5, 1338, 93),
+    (flat_threshold, 6, 5282, 260),
+    (binary_threshold, 10, 2252, 66),
+    (binary_threshold, 12, 1984, 57),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, eta, frontier_vectors, minimal_solutions",
+    REALISABILITY_WORK,
+    ids=[f"{b.__name__.split('_')[0]}:{eta}" for b, eta, _, _ in REALISABILITY_WORK],
+)
+class TestRealisabilityWork:
+    def test_work_counts_and_antichain(self, builder, eta, frontier_vectors, minimal_solutions):
+        matrix, _, _ = realisability_matrix(builder(eta))
+        basis, counters = _traced_counters(_slack_system(matrix))
+        assert (counters["frontier_vectors"], counters["minimal_solutions"]) == (
+            frontier_vectors,
+            minimal_solutions,
+        )
+        assert len(basis) == minimal_solutions
+        assert not any(w != v and _dominates(v, w) for v in basis for w in basis)
+
+    def test_budget_is_exact(self, builder, eta, frontier_vectors, minimal_solutions):
+        system = _slack_system(realisability_matrix(builder(eta))[0])
+        assert len(solve_equalities(system, frontier_budget=frontier_vectors)) == minimal_solutions
+        with pytest.raises(SearchBudgetExceeded):
+            solve_equalities(system, frontier_budget=frontier_vectors - 1)
+
+    def test_inequality_basis_respects_norm_bound(
+        self, builder, eta, frontier_vectors, minimal_solutions
+    ):
+        matrix, _, _ = realisability_matrix(builder(eta))
+        bound = pottier_norm_bound(matrix)
+        basis = solve_inequalities(matrix)
+        assert basis and all(sum(v) <= bound for v in basis)
+
+
+def test_a_solution_prunes_later_rows_of_its_generation():
+    # (2, 0, 3) is found in the generation of norm 5 and prunes an
+    # extension of a row after it in that generation: 11 frontier
+    # vectors, where pruning against earlier generations only gives 12.
+    basis, counters = _traced_counters([[-3, -3, 2], [3, -2, -2]])
+    assert basis == [(2, 0, 3)]
+    assert counters["frontier_vectors"] == 11
 
 
 class TestNormBound:
