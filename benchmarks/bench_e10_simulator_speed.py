@@ -3,7 +3,8 @@
 Reproduction-brief context: pure-Python per-interaction simulation
 cannot reach chemically interesting population sizes.  This bench
 quantifies the ladder: the agent-list baseline, the exact count-based
-sampler, and the tau-leaping batch simulator, in interactions/second
+sampler, and the tau-leaping vector engine run as one trial ("batch"),
+in interactions/second
 and in wall-clock time to a fixed amount of parallel time.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro import binary_threshold
 from repro.fmt import render_table, section
-from repro.simulation import AgentListScheduler, BatchScheduler, CountScheduler
+from repro.simulation import AgentListScheduler, CountScheduler, VectorEnsembleScheduler
 
 PROTOCOL = binary_threshold(8)
 
@@ -39,12 +41,12 @@ def drive_count(n: int, interactions: int) -> dict:
 
 
 def drive_batch(n: int, interactions: int) -> dict:
-    scheduler = BatchScheduler(PROTOCOL, seed=0, epsilon=0.05)
+    scheduler = VectorEnsembleScheduler(PROTOCOL, trials=1, seed=0, epsilon=0.05)
     scheduler.reset(n)
     done = 0
     leap = max(1, int(0.05 * n))
     while done < interactions:
-        done += scheduler.leap(min(leap, interactions - done))
+        done += int(scheduler.leap(np.array([min(leap, interactions - done)]))[0])
     return scheduler.instrumentation.snapshot().as_dict()
 
 

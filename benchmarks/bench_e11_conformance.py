@@ -58,7 +58,7 @@ def test_e11_report():
                 report.population,
                 report.samples,
                 f"{worst_p:.3f}",
-                f"{report.batch_distribution_error:.1e}",
+                f"{report.vector_distribution_error:.1e}",
                 checked,
                 "PASS" if report.ok else "FAIL",
             ]
@@ -66,7 +66,7 @@ def test_e11_report():
     print(section("E11 — scheduler conformance (chi-squared + invariant sweeps)"))
     print(
         render_table(
-            ["protocol", "n", "samples", "min p-value", "batch dist err", "steps checked", "verdict"],
+            ["protocol", "n", "samples", "min p-value", "vector dist err", "steps checked", "verdict"],
             rows,
         )
     )

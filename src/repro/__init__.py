@@ -83,7 +83,7 @@ from .protocols import (
     modulo_protocol,
     negation,
 )
-from .simulation import BatchScheduler, CountScheduler, measure_convergence, record_trace
+from .simulation import CountScheduler, measure_convergence, record_trace
 
 __version__ = "1.0.0"
 
@@ -143,7 +143,6 @@ __all__ = [
     "gap_table",
     # simulation
     "CountScheduler",
-    "BatchScheduler",
     "measure_convergence",
     "record_trace",
 ]

@@ -43,7 +43,7 @@ from typing import Iterator, List, Optional
 from .analysis.verification import verify_protocol
 from .bounds.pipeline import section4_certificate, section5_certificate
 from .cache import CacheStore, active_store, protocol_fingerprint, use_store
-from .core.errors import ProtocolError, ReproError
+from .core.errors import ConfigurationError, ReproError
 from .core.multiset import Multiset
 from .core.parser import PredicateSyntaxError, parse_predicate
 from .core.protocol import PopulationProtocol
@@ -145,6 +145,14 @@ def _parse_input(text: str) -> Multiset:
             raise SystemExit(f"error: malformed input assignment {part!r} (want var=count)")
         counts[variable.strip()] = int(count)
     return Multiset(counts)
+
+
+def _initial_population(protocol: PopulationProtocol, inputs: Multiset) -> int:
+    """Agents in ``IC(inputs)``, exiting with a one-line error if invalid."""
+    try:
+        return protocol.initial_configuration(inputs).size
+    except ConfigurationError as error:
+        raise SystemExit(f"error: {error}")
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +489,9 @@ def _cmd_simulate(args) -> int:
     inputs = _parse_input(args.input)
     if args.max_steps < 1:
         raise SystemExit(f"error: --max-steps must be >= 1, got {args.max_steps}")
+    population = _initial_population(protocol, inputs)
     if args.trials is not None:
-        return _simulate_batch(args, protocol, inputs)
+        return _simulate_batch(args, protocol, inputs, population)
     if args.engine != "count":
         raise SystemExit(
             f"error: --engine {args.engine} needs --trials (the vector engine "
@@ -521,26 +530,24 @@ def _cmd_simulate(args) -> int:
     return 0 if result.converged else 2
 
 
-def _simulate_batch(args, protocol: PopulationProtocol, inputs: Multiset) -> int:
+def _simulate_batch(
+    args, protocol: PopulationProtocol, inputs: Multiset, population: int
+) -> int:
     """``simulate --trials N``: a seeded ensemble, optionally parallel."""
     if args.trials < 1:
         raise SystemExit(f"error: --trials must be >= 1, got {args.trials}")
     # Batch mode needs a concrete root seed so the run is reproducible
     # from the emitted artifact alone.
     root_seed = args.seed if args.seed is not None else 0
-    population = protocol.initial_configuration(inputs).size
-    try:
-        result = run_ensemble(
-            protocol,
-            inputs,
-            trials=args.trials,
-            max_parallel_time=args.max_steps / max(1, population),
-            seed=root_seed,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-    except ProtocolError as error:
-        raise SystemExit(f"error: {error}")
+    result = run_ensemble(
+        protocol,
+        inputs,
+        trials=args.trials,
+        max_parallel_time=args.max_steps / population,
+        seed=root_seed,
+        jobs=args.jobs,
+        engine=args.engine,
+    )
     if args.json:
         payload = {
             "protocol": protocol.name,
@@ -591,6 +598,7 @@ def _cmd_conformance(args) -> int:
         raise SystemExit(f"error: --samples must be >= 1, got {args.samples}")
     protocol = resolve_protocol(args.protocol)
     inputs = _parse_input(args.input) if args.input else _default_conformance_input(protocol)
+    _initial_population(protocol, inputs)
     report = check_conformance(
         protocol,
         inputs,
@@ -1369,7 +1377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("--input", default=None, help='"x=60,y=40" or a bare count (default: small input)')
     p.add_argument("--samples", type=int, default=2000, help="first-step samples per scheduler")
-    p.add_argument("--trajectory-seeds", type=int, default=3, help="seeded differential sweeps")
+    p.add_argument("--trajectory-seeds", type=_positive_int, default=3,
+                   help="seeded differential sweeps")
     p.add_argument("--max-steps", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit the machine-readable report")

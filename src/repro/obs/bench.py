@@ -186,19 +186,21 @@ def _simulate_count() -> Dict[str, int]:
 
 @register_workload(
     "simulate.batch",
-    description="tau-leaping batch simulator, n=50k (E10 ladder top)",
+    description="tau-leaping one trial of the vector engine, n=50k (E10 ladder top)",
 )
 def _simulate_batch() -> Dict[str, int]:
-    from ..protocols import binary_threshold
-    from ..simulation import BatchScheduler
+    import numpy as np
 
-    scheduler = BatchScheduler(binary_threshold(8), seed=0, epsilon=0.05)
+    from ..protocols import binary_threshold
+    from ..simulation import VectorEnsembleScheduler
+
+    scheduler = VectorEnsembleScheduler(binary_threshold(8), trials=1, seed=0, epsilon=0.05)
     n, budget = 50_000, 100_000
     scheduler.reset(n)
     done = 0
     leap = max(1, int(0.05 * n))
     while done < budget:
-        done += scheduler.leap(min(leap, budget - done))
+        done += int(scheduler.leap(np.array([min(leap, budget - done)]))[0])
     return {"interactions": done}
 
 

@@ -1,4 +1,4 @@
-"""Stochastic simulation: exact schedulers, batched leaps, convergence stats."""
+"""Stochastic simulation: exact schedulers, tau-leap ensembles, convergence stats."""
 
 from .conformance import (
     ChiSquaredResult,
@@ -12,7 +12,6 @@ from .conformance import (
 )
 from .ensembles import ENSEMBLE_ENGINES, EnsembleResult, run_ensemble
 from .convergence import ConvergenceStats, convergence_scaling, fit_nlogn, measure_convergence
-from .fast import BatchScheduler
 from .vectorized import VectorEnsembleScheduler, VectorRunResult
 from .faults import Fault, FaultyRunResult, corrupt, crash, run_with_faults
 from ..obs import Instrumentation, InstrumentationSnapshot
@@ -23,7 +22,6 @@ from .trace import Trace, TraceEvent, record_trace
 __all__ = [
     "AgentListScheduler",
     "CountScheduler",
-    "BatchScheduler",
     "SimulationResult",
     "StepOutcome",
     "ConvergenceStats",

@@ -1,10 +1,9 @@
 """Scheduler conformance: cross-check every sampler against the semantics.
 
-The repo ships four samplers of the *same* stochastic semantics —
+The repo ships three samplers of the *same* stochastic semantics —
 :class:`~repro.simulation.scheduler.AgentListScheduler` (explicit
 agents), :class:`~repro.simulation.scheduler.CountScheduler` (exact
-count-based sampling), :class:`~repro.simulation.fast.BatchScheduler`
-(tau-leaping) and
+count-based sampling) and
 :class:`~repro.simulation.vectorized.VectorEnsembleScheduler`
 (tau-leaping over a whole trials×states ensemble matrix) — plus a
 fault-injecting runner on top.  Every
@@ -53,7 +52,6 @@ from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol, _pair
 from ..obs import Instrumentation, InstrumentationSnapshot, get_tracer
 from ..parallel import TaskEnvelope, merge_snapshots, run_tasks
-from .fast import BatchScheduler
 from .scheduler import AgentListScheduler, CountScheduler
 from .vectorized import VectorEnsembleScheduler
 
@@ -108,7 +106,7 @@ def analytic_delta_distribution(
     without a registered transition contribute to the zero
     displacement.  This is the distribution every conforming sampler's
     single step must follow, observable without access to which agents
-    actually met — so it applies to the batch scheduler too.
+    actually met — so it applies to the tau-leap engine too.
     """
     indexed = protocol.indexed()
     outcomes: Dict[PairKey, List[DeltaKey]] = {}
@@ -290,17 +288,6 @@ def _sample_exact_first_steps(scheduler, inputs, samples: int, index: Mapping[St
     return pairs, deltas
 
 
-def _sample_batch_first_steps(scheduler: BatchScheduler, inputs, samples: int) -> Counter:
-    """Displacement frequencies of single-interaction leaps, resampled."""
-    deltas: Counter = Counter()
-    for _ in range(samples):
-        scheduler.reset(inputs)
-        before = scheduler.counts.copy()
-        scheduler.leap(1)
-        deltas[tuple(int(v) for v in scheduler.counts - before)] += 1
-    return deltas
-
-
 def _sample_vector_first_steps(
     scheduler: VectorEnsembleScheduler, inputs, samples: int
 ) -> Counter:
@@ -328,10 +315,10 @@ def _exact_pair_error(
 ) -> float:
     """Max abs deviation of a scheduler's closed-form pair distribution.
 
-    Both the batch and the vector engines expose their sampling
-    distribution as ``(keys, probabilities, inert)``; a conforming
-    engine must match the analytic pair law exactly (up to one or two
-    ulps of the final division), not just statistically.
+    The vector engine exposes its sampling distribution as
+    ``(keys, probabilities, inert)``; a conforming engine must match
+    the analytic pair law exactly (up to one or two ulps of the final
+    division), not just statistically.
     """
     keys, probabilities, inert = pair_distribution
     error = 0.0
@@ -426,47 +413,6 @@ def _check_exact_trajectories(
     )
 
 
-def _check_batch_trajectories(
-    protocol: PopulationProtocol,
-    inputs,
-    seeds: Sequence[int],
-    steps: int,
-    leap_size: int,
-) -> TrajectoryCheck:
-    legal_states = set(protocol.states)
-    violations: List[str] = []
-    checked = 0
-    for seed in seeds:
-        scheduler = BatchScheduler(protocol, seed=seed)
-        scheduler.reset(inputs)
-        population = scheduler.population
-        done = 0
-        while done < steps:
-            chunk = min(leap_size, steps - done)
-            advanced = scheduler.leap(chunk)
-            checked += advanced
-            where = f"batch seed={seed} interaction={done}"
-            if advanced != chunk:
-                violations.append(f"{where}: leap({chunk}) advanced only {advanced}")
-            done += max(1, advanced)
-            if scheduler.population != population:
-                violations.append(
-                    f"{where}: population changed {population} -> {scheduler.population}"
-                )
-            if (scheduler.counts < 0).any():
-                violations.append(f"{where}: negative state count")
-            support = scheduler.configuration.support()
-            if not support <= legal_states:
-                violations.append(f"{where}: illegal states {support - legal_states}")
-            if len(violations) >= 10:
-                break
-        if len(violations) >= 10:
-            break
-    return TrajectoryCheck(
-        scheduler="batch", seeds=tuple(seeds), steps_checked=checked, violations=tuple(violations)
-    )
-
-
 def _check_vector_trajectories(
     protocol: PopulationProtocol,
     inputs,
@@ -478,8 +424,7 @@ def _check_vector_trajectories(
     """Invariant sweep of the vector engine: per trial, per round.
 
     Population conservation, non-negative counts, and legal support
-    are asserted for *every trial row* after *every* leap round — the
-    per-trial analogue of the batch sweep.
+    are asserted for *every trial row* after *every* leap round.
     """
     import numpy as np
 
@@ -584,26 +529,6 @@ def _check_matched_seed(
     return tuple(mismatches), converged
 
 
-def _check_matched_seeds(
-    protocol: PopulationProtocol,
-    inputs,
-    seeds: Sequence[int],
-    max_steps: int,
-    compare_verdicts: bool,
-) -> MatchedSeedCheck:
-    mismatches: List[str] = []
-    converged = 0
-    for seed in seeds:
-        seed_mismatches, seed_converged = _check_matched_seed(
-            protocol, inputs, seed, max_steps, compare_verdicts
-        )
-        mismatches.extend(seed_mismatches)
-        converged += 1 if seed_converged else 0
-    return MatchedSeedCheck(
-        seeds=tuple(seeds), runs_converged=converged, mismatches=tuple(mismatches)
-    )
-
-
 # ----------------------------------------------------------------------
 # The report
 # ----------------------------------------------------------------------
@@ -618,8 +543,6 @@ class ConformanceReport:
     samples: int
     significance: float
     first_step: Tuple[ChiSquaredResult, ...]
-    batch_distribution_error: float
-    batch_distribution_ok: bool
     vector_distribution_error: float
     vector_distribution_ok: bool
     trajectories: Tuple[TrajectoryCheck, ...]
@@ -632,7 +555,6 @@ class ConformanceReport:
     def ok(self) -> bool:
         return (
             all(r.passed for r in self.first_step)
-            and self.batch_distribution_ok
             and self.vector_distribution_ok
             and all(t.passed for t in self.trajectories)
             and self.matched_seed.passed
@@ -651,8 +573,6 @@ class ConformanceReport:
             "seed": self.seed,
             "jobs": self.jobs,
             "first_step": [r.to_dict() for r in self.first_step],
-            "batch_distribution_error": self.batch_distribution_error,
-            "batch_distribution_ok": self.batch_distribution_ok,
             "vector_distribution_error": self.vector_distribution_error,
             "vector_distribution_ok": self.vector_distribution_ok,
             "trajectories": [t.to_dict() for t in self.trajectories],
@@ -686,11 +606,6 @@ class ConformanceReport:
             for r in self.first_step
         ]
         lines.append(render_table(["scheduler", "kind", "statistic", "dof", "p-value", "verdict"], rows))
-        lines.append(
-            f"batch leap distribution vs analytic: max abs error "
-            f"{self.batch_distribution_error:.2e} "
-            f"({'ok' if self.batch_distribution_ok else 'FAIL'})"
-        )
         lines.append(
             f"vector leap distribution vs analytic: max abs error "
             f"{self.vector_distribution_error:.2e} "
@@ -777,22 +692,6 @@ def _conformance_task(task: TaskEnvelope):
                     settings.significance,
                 ),
             )
-    elif kind == "first_step_batch":
-        with harness.phase("first_step"):
-            analytic = _analytic_first_step(settings)
-            batch = BatchScheduler(settings.protocol, seed=settings.seed)
-            batch_deltas = _sample_batch_first_steps(batch, settings.inputs, settings.samples)
-            harness.add("first_step_samples", settings.samples)
-            chi = _chi_squared_test(
-                "batch", "delta", batch_deltas, analytic[1], settings.samples,
-                settings.significance,
-            )
-            # The batch scheduler's sampling distribution is available
-            # in closed form — compare it against the analytic one
-            # exactly, not just statistically.
-            batch.reset(settings.inputs)
-            error = _exact_pair_error(batch.pair_distribution(), analytic[0])
-            value = (chi, error, error < 1e-9)
     elif kind == "first_step_vector":
         with harness.phase("first_step"):
             analytic = _analytic_first_step(settings)
@@ -807,20 +706,15 @@ def _conformance_task(task: TaskEnvelope):
                 "vector", "delta", vector_deltas, analytic[1], settings.samples,
                 settings.significance,
             )
-            # Same closed-form check as the batch engine: the vector
-            # engine's per-trial pair distribution must match the
-            # analytic law exactly, not just statistically.
+            # The engine's sampling distribution is available in
+            # closed form — compare it against the analytic one
+            # exactly, not just statistically.
             vector.reset(settings.inputs)
             error = _exact_pair_error(vector.pair_distribution(), analytic[0])
             value = (chi, error, error < 1e-9)
     elif kind == "trajectory":
         with harness.phase("trajectories"):
-            if argument == "batch":
-                value = _check_batch_trajectories(
-                    settings.protocol, settings.inputs, settings.trajectory_seeds,
-                    settings.trajectory_steps, leap_size=settings.leap_size,
-                )
-            elif argument == "vector":
+            if argument == "vector":
                 value = _check_vector_trajectories(
                     settings.protocol, settings.inputs, settings.trajectory_seeds,
                     settings.trajectory_steps, leap_size=settings.leap_size,
@@ -896,11 +790,9 @@ def check_conformance(
     payloads = [
         ("first_step_exact", "agent-list", settings),
         ("first_step_exact", "count", settings),
-        ("first_step_batch", None, settings),
         ("first_step_vector", None, settings),
         ("trajectory", "agent-list", settings),
         ("trajectory", "count", settings),
-        ("trajectory", "batch", settings),
         ("trajectory", "vector", settings),
     ] + [("matched", matched_seed, settings) for matched_seed in matched_seeds]
 
@@ -917,19 +809,17 @@ def check_conformance(
         values = [envelope.value[0] for envelope in envelopes]
         harness.merge(merge_snapshots(envelope.value[1] for envelope in envelopes))
 
-        agent_chi, count_chi = values[0], values[1]
-        batch_value, vector_value = values[2], values[3]
-        first_step = (*agent_chi, *count_chi, batch_value[0], vector_value[0])
-        batch_error, batch_ok = batch_value[1], batch_value[2]
+        agent_chi, count_chi, vector_value = values[0], values[1], values[2]
+        first_step = (*agent_chi, *count_chi, vector_value[0])
         vector_error, vector_ok = vector_value[1], vector_value[2]
-        trajectories = values[4:8]
+        trajectories = values[3:6]
         harness.add(
             "trajectory_interactions", sum(t.steps_checked for t in trajectories)
         )
 
         mismatches: List[str] = []
         converged = 0
-        for seed_mismatches, seed_converged in values[8:]:
+        for seed_mismatches, seed_converged in values[6:]:
             mismatches.extend(seed_mismatches)
             converged += 1 if seed_converged else 0
         matched = MatchedSeedCheck(
@@ -945,8 +835,6 @@ def check_conformance(
         samples=samples,
         significance=significance,
         first_step=first_step,
-        batch_distribution_error=batch_error,
-        batch_distribution_ok=batch_ok,
         vector_distribution_error=vector_error,
         vector_distribution_ok=vector_ok,
         trajectories=tuple(trajectories),

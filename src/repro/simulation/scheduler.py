@@ -17,7 +17,7 @@ Two exact samplers are provided:
   ``p != q`` and ``c_p * (c_p - 1)`` for ``p = q``).  O(|Q|^2) per
   interaction, independent of the population size — the first rung of
   the "simulation is too slow for large populations" ladder (the
-  batched :mod:`repro.simulation.fast` is the second).
+  tau-leaping :mod:`repro.simulation.vectorized` is the second).
 
 Both samplers produce identically distributed runs (chi-squared
 smoke-tested in the suite) and support seeding for reproducibility.
@@ -64,8 +64,7 @@ class SimulationResult:
         Whether the stop condition was met (vs the step budget).
     instrumentation:
         Counters and phase timers recorded during the run (steps,
-        silent-consensus checks, leap statistics for the batch
-        scheduler); ``None`` for results built outside the run loops.
+        silent-consensus checks); ``None`` for results built outside the run loops.
     """
 
     interactions: int

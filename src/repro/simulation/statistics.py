@@ -8,8 +8,8 @@ full count trajectory of a run at a configurable resolution:
   with accessors for single-state trajectories, consensus fraction and
   a compact text rendering (sparkline-style) for terminal inspection;
 * :func:`record_time_series` — drive a :class:`CountScheduler` (exact)
-  or :class:`BatchScheduler` (tau-leaping) and sample every
-  ``resolution`` units of parallel time.
+  or a one-trial :class:`VectorEnsembleScheduler` (tau-leaping) and
+  sample every ``resolution`` units of parallel time.
 
 The examples use this to show the two phases of threshold protocols
 (combining, then the acceptance epidemic); tests use it to assert
@@ -23,8 +23,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..core.multiset import Multiset
 from ..core.protocol import PopulationProtocol
-from .fast import BatchScheduler
+import numpy as np
+
 from .scheduler import CountScheduler, _is_silent_consensus
+from .vectorized import VectorEnsembleScheduler
 
 __all__ = ["TimeSeries", "record_time_series"]
 
@@ -104,32 +106,35 @@ def record_time_series(
 ) -> TimeSeries:
     """Simulate and sample the configuration every ``resolution`` units.
 
-    ``use_batch=True`` switches to the tau-leaping simulator (for large
-    populations); otherwise the exact count-based scheduler is used.
+    ``use_batch=True`` switches to the tau-leaping simulator (one trial
+    of the vector engine, for large populations); otherwise the exact
+    count-based scheduler is used.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     series = TimeSeries(protocol=protocol)
     if use_batch:
-        scheduler = BatchScheduler(protocol, seed=seed)
+        scheduler = VectorEnsembleScheduler(protocol, trials=1, seed=seed)
+        current = lambda: scheduler.configuration(0)
     else:
         scheduler = CountScheduler(protocol, seed=seed)
+        current = lambda: scheduler.configuration
     scheduler.reset(inputs)
     n = scheduler.population
-    series.record(0.0, scheduler.configuration)
+    series.record(0.0, current())
 
     steps_per_sample = max(1, int(resolution * n))
     total_budget = int(max_parallel_time * n)
     done = 0
     while done < total_budget:
-        if stop_on_silent_consensus and _is_silent_consensus(protocol, scheduler.configuration):
+        if stop_on_silent_consensus and _is_silent_consensus(protocol, current()):
             break
         chunk = min(steps_per_sample, total_budget - done)
         if use_batch:
-            done += scheduler.leap(chunk)
+            scheduler.leap(np.array([chunk]))
         else:
             for _ in range(chunk):
                 scheduler.step()
-            done += chunk
-        series.record(done / n, scheduler.configuration)
+        done += chunk
+        series.record(done / n, current())
     return series

@@ -1,39 +1,44 @@
-"""Vectorised ensemble simulation: a whole ``--trials`` batch per step.
+"""Tau-leap simulation of a whole ``--trials`` ensemble at once.
 
-The paper's lower bounds live in the large-``n`` regime, and the
-ensemble path is where large populations hurt most: ``run_ensemble``
-steps every trial through a per-event Python loop, so 64 trials at
-``n = 10^6`` cost tens of millions of interpreter iterations.  This
-module rebuilds the ensemble struct-of-arrays:
+The paper's lower bounds live in the large-``n`` regime, where exact
+per-interaction simulation needs ``Theta(n log n)`` Python-level steps
+per run.  Population protocols *are* chemical reaction networks, so
+the classic remedy from stochastic chemical kinetics applies:
+**tau-leaping**.  :class:`VectorEnsembleScheduler` advances every trial
+of an ensemble by up to ``epsilon * n`` interactions per leap, assuming
+the pair distribution stays fixed within the leap (``trials=1`` is a
+single tau-leaped trajectory):
 
 * the whole ensemble is one ``(trials, states)`` int64 count matrix;
-* every trial advances **simultaneously** — pair weights are computed
-  for all trials in one vectorised expression, the number of
-  interactions hitting each transition class is drawn with one batched
-  ``rng.multinomial`` call across the trial axis, and displacements are
-  applied with a single integer matrix product;
+* every trial advances **simultaneously** — the ordered-pair weights
+  ``c_i (c_j - [i = j])`` are computed for all trials in one
+  vectorised expression, the number of interactions hitting each
+  transition class is drawn with one batched ``rng.multinomial`` call
+  across the trial axis (nondeterministic pairs split uniformly among
+  their transitions), and displacements are applied with a single
+  integer matrix product;
 * tau-leap rejection is a per-trial mask: trials whose aggregated
   update would drive a count negative halve their attempt size
   independently (down to single interactions) while the rest of the
   ensemble keeps leaping at full size;
 * a trial whose single-interaction leap is still rejected — the
   near-absorption regime where some state holds one or two agents —
-  falls back to the exact scalar sampler for that one step, so every
-  intermediate row of the matrix is a legal configuration.
+  takes one exact step for that interaction, so every intermediate row
+  of the matrix is a legal configuration.
 
-As in :class:`~repro.simulation.fast.BatchScheduler`, the tau-leap
-approximation touches only *timing statistics* (order ``epsilon``);
-invariants are exact: population is conserved per trial at every step,
-counts never go negative, and all pair probabilities are computed in
-exact integer arithmetic with one final division (float64 subtraction
-of ``n(n-1)``-sized products silently corrupts small inert masses once
-``n`` passes ``~10^8``).
+The tau-leap approximation touches only *timing statistics* (order
+``epsilon``, exactly as in Gillespie tau-leaping); invariants are
+exact: population is conserved per trial at every step and counts
+never go negative.  Pair weights are exact integers with one final
+division — float64 subtraction of ``n(n-1)``-sized products silently
+corrupts small inert masses once ``n`` passes ``~10^8``.  They are
+int64 while ``n(n-1)`` fits, and Python ints (``object`` arrays) past
+``n ~ 3.04 * 10^9``, so the engine has no population ceiling.
 
 Convergence detection (silent consensus) and verdict extraction are
 vectorised too: enabled-transition masks and output-consensus checks
-are evaluated for the whole ensemble between leap rounds, at the same
-per-``epsilon * n``-interactions cadence the scalar batch scheduler
-uses.
+are evaluated for the whole ensemble between leap rounds, every
+``epsilon * n`` interactions.
 """
 
 from __future__ import annotations
@@ -50,11 +55,6 @@ from ..core.protocol import PopulationProtocol, _pair
 from ..obs import Instrumentation, InstrumentationSnapshot, get_tracer, progress
 
 __all__ = ["VectorEnsembleScheduler", "VectorRunResult"]
-
-# n(n-1) must fit in int64 for the vectorised weight arithmetic; the
-# exact-integer Python path in the scalar BatchScheduler has no such
-# ceiling, so very large populations fall back there.
-_MAX_POPULATION = 3_000_000_000
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,9 @@ class VectorEnsembleScheduler:
     """Simultaneous tau-leaping of an entire trial ensemble.
 
     One scheduler instance owns one ``(trials, states)`` count matrix;
-    :meth:`run` is the ensemble analogue of
-    :meth:`BatchScheduler.run <repro.simulation.fast.BatchScheduler.run>`
-    and feeds :func:`repro.simulation.ensembles.run_ensemble` via
-    ``engine="vector"``.
+    :meth:`run` feeds :func:`repro.simulation.ensembles.run_ensemble`
+    via ``engine="vector"``, and ``trials=1`` with :meth:`leap` drives a
+    single tau-leaped trajectory.
     """
 
     def __init__(
@@ -134,7 +133,7 @@ class VectorEnsembleScheduler:
         self._single_classes = np.nonzero(single)[0]
         self._single_rows = self._outcome_start[single]
         self._multi_classes = [int(p) for p in np.nonzero(~single)[0]]
-        # Scalar-fallback view: outcome rows per class, as in BatchScheduler.
+        # Exact-step view: the outcome rows of each class.
         self._pair_outcomes: List[np.ndarray] = [
             self._outcomes[s : s + w]
             for s, w in zip(self._outcome_start, self._outcome_width)
@@ -153,6 +152,7 @@ class VectorEnsembleScheduler:
         self._outputs = np.array(self.indexed.output, dtype=np.int64)
         self._output_values = sorted(set(self.indexed.output))
         self._population = 0
+        self._weight_dtype = np.int64
 
     # ------------------------------------------------------------------
 
@@ -160,13 +160,12 @@ class VectorEnsembleScheduler:
         """Initialise every trial to ``IC(inputs)``."""
         row = np.array(self.indexed.initial_counts(inputs), dtype=np.int64)
         n = int(row.sum())
-        if n > _MAX_POPULATION:
-            raise ProtocolError(
-                f"population {n} exceeds the vector engine's int64 pair-weight "
-                f"range (max {_MAX_POPULATION}); use the scalar BatchScheduler"
-            )
         self.counts = np.tile(row, (self.trials, 1))
         self._population = n
+        # Every pair weight and their sum are at most n(n-1); past the
+        # int64 range (n ~ 3.04e9) the weights are Python ints instead.
+        fits = n * (n - 1) <= np.iinfo(np.int64).max
+        self._weight_dtype = np.int64 if fits else object
         self.instrumentation.clear()
 
     @property
@@ -178,23 +177,33 @@ class VectorEnsembleScheduler:
         """The current configuration of one trial, as a multiset."""
         return self.indexed.decode([int(c) for c in self.counts[trial]])
 
-    def pair_distribution(self):
-        """The one-step pair distribution shared by every trial.
+    def _integer_pair_weights(self, row: np.ndarray) -> List[int]:
+        """Exact ordered-pair weight of each transition class in one row.
 
-        Same contract as :meth:`BatchScheduler.pair_distribution
-        <repro.simulation.fast.BatchScheduler.pair_distribution>` —
-        ``(keys, probabilities, inert)`` computed in exact integer
-        arithmetic from trial 0's counts — so the conformance harness
-        can hold the vector engine to the analytic one-step law.
+        ``c_i (c_i - 1)`` for a same-state pair and ``2 c_i c_j`` for
+        two distinct states, as Python ints, so no population can
+        overflow them and the inert mass ``n(n-1) - sum`` is exact.
+        """
+        return [
+            int(row[i]) * (int(row[i]) - 1) if i == j else 2 * int(row[i]) * int(row[j])
+            for i, j in self._pair_keys
+        ]
+
+    def pair_distribution(self):
+        """The one-step pair distribution of trial 0's counts.
+
+        Returns ``(keys, probabilities, inert)``: the registered
+        unordered state pairs, their meeting probabilities, and the
+        probability mass of inert pairs (pairs with no registered
+        transition).  Big-int true division is correctly rounded, so
+        each probability is exact to the last float64 bit even when the
+        weights exceed ``2^53`` — the conformance harness holds the
+        engine to the analytic one-step law with this.
         """
         n = self._population
         if n < 2:
             raise ProtocolError("population must have at least two agents")
-        c = self.counts[0]
-        weights = [
-            int(c[i]) * (int(c[i]) - 1) if i == j else 2 * int(c[i]) * int(c[j])
-            for i, j in self._pair_keys
-        ]
+        weights = self._integer_pair_weights(self.counts[0])
         total = n * (n - 1)
         inert_mass = total - sum(weights)
         states = self.indexed.states
@@ -213,10 +222,10 @@ class VectorEnsembleScheduler:
         trials with ``k[t] == 0`` get a zero row.  The caller decides
         acceptance — this method never mutates ``self.counts``.
         """
-        c = self.counts
+        c = self.counts.astype(self._weight_dtype, copy=False)
         ci = c[:, self._pair_i]
         cj = c[:, self._pair_j]
-        # int64 exact: reset() bounds the population so n(n-1) fits.
+        # Exact in the dtype reset() picked: int64 while n(n-1) fits.
         weights = np.where(self._pair_self, ci * (ci - 1), 2 * ci * cj)
         n = self._population
         total = n * (n - 1)
@@ -238,23 +247,23 @@ class VectorEnsembleScheduler:
         return outcome_hits @ self._outcomes
 
     def _exact_step(self, trial: int) -> None:
-        """Exact scalar interaction for one near-absorption trial.
+        """One exact interaction for one near-absorption trial.
 
-        Mirrors :meth:`BatchScheduler._exact_step`: one draw over all
-        ``n(n-1)`` ordered pairs with exact integer weights (inert
-        meetings included, per the pair law).
+        The draw covers *every* ordered pair — registered transitions
+        and inert meetings alike, exactly the pair law — with integer
+        weights; a sampled pair is by construction available, so firing
+        one of its transitions (or nothing, for an inert meeting) can
+        never drive a count negative.  Counted as ``exact_steps`` so
+        conformance sweeps can tell fallback steps from genuine leaps.
         """
         self.instrumentation.add("exact_steps")
         c = self.counts[trial]
-        weights = [
-            int(c[i]) * (int(c[i]) - 1) if i == j else 2 * int(c[i]) * int(c[j])
-            for i, j in self._pair_keys
-        ]
         n = self._population
-        pick = int(self.rng.integers(n * (n - 1)))
-        for index, weight in enumerate(weights):
+        # Uniform on [0, n(n-1)) at any n; rng.integers itself cannot
+        # take a bound past the int64 range.
+        pick = int(self.rng.integers(n)) * (n - 1) + int(self.rng.integers(n - 1))
+        for weight, outcomes in zip(self._integer_pair_weights(c), self._pair_outcomes):
             if pick < weight:
-                outcomes = self._pair_outcomes[index]
                 if len(outcomes) == 1:
                     outcome = outcomes[0]
                 else:
@@ -271,14 +280,14 @@ class VectorEnsembleScheduler:
         update would go negative halves its *own* attempt size (masked,
         so accepted trials are untouched) and retries in the next
         batched draw; at attempt size 1 it falls back to one exact
-        scalar step.  A trial's attempt size stays at its halved value
+        step.  A trial's attempt size stays at its halved value
         for the remainder of this call — near absorption the pair
         distribution genuinely shifts every few interactions, so
         regrowing the leap within the round would just re-reject.
 
         Returns the interactions actually performed per trial, which
         always equals ``request`` (the exact fallback guarantees
-        progress, as in the scalar scheduler).
+        progress).
         """
         if self._population < 2:
             raise ProtocolError("population must have at least two agents")
@@ -375,8 +384,7 @@ class VectorEnsembleScheduler:
         """Run every trial up to ``max_parallel_time`` units of parallel time.
 
         The consensus check runs between leap rounds — every
-        ``epsilon * n`` interactions, the same cadence as the scalar
-        batch scheduler — and converged trials are masked out of all
+        ``epsilon * n`` interactions — and converged trials are masked out of all
         further leaping while the rest of the ensemble continues.
         """
         if not (math.isfinite(max_parallel_time) and max_parallel_time > 0):

@@ -60,11 +60,15 @@ MALFORMED_INPUTS = [
     (["verify", "binary:3", "x >="], "malformed predicate", 1),
     (["compile", "x >="], "malformed predicate", 1),
     (["analyze", "binary:3", "x >= 3 +"], "malformed predicate", 1),
+    (["simulate", "binary:3", "--input", "1"], "at least two agents", 1),
+    (["simulate", "binary:3", "--input", "1", "--trials", "2"], "at least two agents", 1),
     (
-        ["simulate", "binary:4", "--input", "4000000000", "--trials", "2", "--engine", "vector"],
-        "exceeds the vector engine's int64 pair-weight range",
+        ["simulate", "binary:3", "--input", "1", "--trials", "2", "--engine", "vector"],
+        "at least two agents",
         1,
     ),
+    (["conformance", "binary:3", "--input", "1"], "at least two agents", 1),
+    (["conformance", "binary:3", "--trajectory-seeds", "0"], "--trajectory-seeds: must be >= 1", 2),
     (["verify", "binary:3", "x >= 3", "--max-input", "-2"], "--max-input: must be >= 1", 2),
     (["certify", "binary:3", "--max-input", "0"], "--max-input: must be >= 1", 2),
     (["analyze", "binary:3", "--max-input", "-1"], "--max-input: must be >= 1", 2),
@@ -94,6 +98,21 @@ def test_malformed_input_is_a_one_line_error(argv, message, code, capsys):
         text = err.splitlines()[-1].split(": ", 1)[1]
     assert text.startswith("error: ") and "\n" not in text
     assert message in text
+
+
+def test_vector_engine_past_int64_pair_weights(capsys):
+    """n(n-1) past the int64 range: the ensemble still runs to consensus."""
+    code = main(
+        [
+            "simulate", "binary:4", "--input", "4000000000", "--trials", "2",
+            "--engine", "vector", "--max-steps", str(10**12), "--json",
+        ]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["population"] == 4_000_000_000
+    assert payload["converged"] == 2
+    assert payload["verdicts"] == {"1": 2}
 
 
 class TestCommands:
@@ -157,7 +176,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "overall: PASS" in out
-        assert "agent-list" in out and "count" in out and "batch" in out
+        assert "agent-list" in out and "count" in out and "vector" in out
 
     def test_conformance_rejects_zero_samples(self):
         # regression: samples=0 used to render a vacuous all-ok report
@@ -171,6 +190,7 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] is True
+        assert payload["vector_distribution_ok"] is True
         assert {r["scheduler"] for r in payload["first_step"]} == {
-            "agent-list", "count", "batch", "vector",
+            "agent-list", "count", "vector",
         }

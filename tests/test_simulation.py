@@ -1,7 +1,8 @@
-"""Tests for the simulators: exact schedulers, batch leaps, convergence, traces."""
+"""Tests for the simulators: exact schedulers, tau-leaps, convergence, traces."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import binary_threshold, majority_protocol
@@ -13,9 +14,9 @@ from repro.simulation.convergence import (
     fit_nlogn,
     measure_convergence,
 )
-from repro.simulation.fast import BatchScheduler
 from repro.simulation.scheduler import AgentListScheduler, CountScheduler
 from repro.simulation.trace import record_trace
+from repro.simulation.vectorized import VectorEnsembleScheduler
 
 
 class TestAgentListScheduler:
@@ -107,53 +108,59 @@ class TestCountScheduler:
 
 
 class TestBatchScheduler:
+    """Tau-leaping one trajectory: the vector engine at ``trials=1``."""
+
     def test_population_conserved(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
         scheduler.reset(1000)
         for _ in range(20):
-            scheduler.leap(100)
+            scheduler.leap(np.array([100]))
             assert scheduler.population == 1000
+            assert scheduler.counts.sum() == 1000
             assert (scheduler.counts >= 0).all()
 
     def test_converges_large_population(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=1)
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=1)
         result = scheduler.run(100_000, max_parallel_time=5000)
-        assert result.converged
-        assert threshold4.output_of(result.configuration) == 1
+        assert result.converged[0]
+        assert threshold4.output_of(scheduler.configuration(0)) == 1
 
     def test_rejects_below_threshold(self):
         # a leader collecting 5 inputs sees only 3: converges to reject
         protocol = leader_unary_threshold(5)
-        scheduler = BatchScheduler(protocol, seed=1)
+        scheduler = VectorEnsembleScheduler(protocol, trials=1, seed=1)
         result = scheduler.run(3, max_parallel_time=5000)
-        assert result.converged
-        assert protocol.output_of(result.configuration) == 0
+        assert result.converged[0]
+        assert protocol.output_of(scheduler.configuration(0)) == 0
 
     def test_epsilon_validation(self, threshold4):
         with pytest.raises(ValueError):
-            BatchScheduler(threshold4, epsilon=0)
+            VectorEnsembleScheduler(threshold4, trials=1, epsilon=0)
 
     def test_small_population_too(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
         result = scheduler.run(8, max_parallel_time=5000)
-        assert result.converged
+        assert result.converged[0]
 
     def test_leap_zero(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
         scheduler.reset(100)
-        assert scheduler.leap(0) == 0
+        before = scheduler.counts.copy()
+        assert scheduler.leap(np.array([0]))[0] == 0
+        assert (scheduler.counts == before).all()
 
     def test_leap_advances_exactly_requested(self, threshold4):
         # with the exact-step fallback, a leap can never under-deliver
-        scheduler = BatchScheduler(threshold4, seed=7)
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=7)
         scheduler.reset(50)
         for requested in (1, 3, 10, 25):
-            assert scheduler.leap(requested) == requested
+            assert scheduler.leap(np.array([requested]))[0] == requested
+        assert scheduler.instrumentation.snapshot().counter("leap_interactions") == 39
 
     def test_rejected_single_step_still_advances(self, threshold4):
-        """Regression: a rejected single-interaction leap returned 0,
-        which would loop ``run`` forever; it must fall back to an exact
-        step over enabled pairs instead."""
+        """Regression: a rejected single-interaction leap must not
+        return 0 (that would loop ``run`` forever); it falls back to
+        one exact step over all ordered pairs instead."""
 
         class _RiggedRng:
             """Delegates to the real generator except for one rigged
@@ -172,24 +179,22 @@ class TestBatchScheduler:
             def __getattr__(self, name):
                 return getattr(self._real, name)
 
-        import numpy as np
-
-        scheduler = BatchScheduler(threshold4, seed=0)
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
         scheduler.reset(10)
         # initially only 2^0 is populated: hit a disabled pair whose net
         # displacement pushes an empty state's count negative
         empty_pair = next(
             index
             for index, outcomes in enumerate(scheduler._pair_outcomes)
-            if any((scheduler.counts + outcome < 0).any() for outcome in outcomes)
+            if any((scheduler.counts[0] + outcome < 0).any() for outcome in outcomes)
         )
-        rigged = np.zeros(len(scheduler._pair_keys) + 1, dtype=np.int64)
-        rigged[empty_pair] = 1
+        rigged = np.zeros((1, len(scheduler._pair_keys) + 1), dtype=np.int64)
+        rigged[0, empty_pair] = 1
         scheduler.rng = _RiggedRng(scheduler.rng, rigged)
 
-        advanced = scheduler.leap(1)
-        assert advanced == 1
-        assert scheduler.population == 10
+        advanced = scheduler.leap(np.array([1]))
+        assert advanced[0] == 1
+        assert scheduler.counts.sum() == 10
         assert (scheduler.counts >= 0).all()
         snapshot = scheduler.instrumentation.snapshot()
         assert snapshot.counter("leap_rejections") == 1
@@ -197,10 +202,11 @@ class TestBatchScheduler:
         assert snapshot.counter("exact_steps") == 1
 
     def test_run_result_carries_leap_counters(self, threshold4):
-        result = BatchScheduler(threshold4, seed=1).run(500, max_parallel_time=5000)
-        assert result.converged
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=1)
+        result = scheduler.run(500, max_parallel_time=5000)
+        assert result.converged[0]
         assert result.instrumentation.counter("leap_calls") >= 1
-        assert result.instrumentation.counter("leap_interactions") == result.interactions
+        assert result.instrumentation.counter("leap_interactions") == result.interactions[0]
 
 
 class TestConvergence:

@@ -9,9 +9,10 @@ Three layers:
   but deterministic outcomes must agree exactly and stochastic ones
   statistically (chi-squared homogeneity via the repo's own
   ``chi_squared_sf``);
-* large-population precision regressions for the exact-integer
-  pair-weight arithmetic (populations where float64 subtraction of
-  ``n(n-1)``-sized products provably loses the inert mass).
+* large-population regressions for the exact-integer pair-weight
+  arithmetic: populations where float64 subtraction of
+  ``n(n-1)``-sized products provably loses the inert mass, and
+  populations past the int64 range of ``n(n-1)``.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from hypothesis import given
 
 from repro import ProtocolBuilder, binary_threshold, majority_protocol
 from repro.cli import main
-from repro.core.errors import ProtocolError
+from repro.core.errors import ConfigurationError
 from repro.core.multiset import Multiset
 from repro.core.protocol import PopulationProtocol, Transition
 from repro.simulation import (
-    BatchScheduler,
     CountScheduler,
     VectorEnsembleScheduler,
     chi_squared_sf,
@@ -36,6 +36,24 @@ from repro.simulation import (
 )
 from repro.simulation.scheduler import _is_silent_consensus
 from repro.testing import count_matrices
+
+
+class _RiggedRng:
+    """Delegates to a real generator except for one rigged multinomial
+    draw (the per-class hit counts of the next leap attempt)."""
+
+    def __init__(self, real, rigged_sample):
+        self._real = real
+        self._rigged = rigged_sample
+
+    def multinomial(self, n, probabilities):
+        if self._rigged is not None:
+            sample, self._rigged = self._rigged, None
+            return sample
+        return self._real.multinomial(n, probabilities)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
 
 
 class TestVectorScheduler:
@@ -58,9 +76,14 @@ class TestVectorScheduler:
         assert (scheduler.counts.sum(axis=1) == 6).all()
 
     def test_population_guard(self, threshold4):
+        """Fewer than two agents cannot interact; any larger population
+        is accepted, past the int64 range of n(n-1) included."""
         scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
-        with pytest.raises(ProtocolError, match="int64"):
-            scheduler.reset(4_000_000_000)
+        with pytest.raises(ConfigurationError, match="two agents"):
+            scheduler.reset(1)
+        scheduler.reset(4_000_000_000)
+        assert scheduler.population == 4_000_000_000
+        assert scheduler.counts.dtype == np.int64
 
     def test_leap_request_validated(self, threshold4):
         scheduler = VectorEnsembleScheduler(threshold4, trials=3, seed=0)
@@ -118,25 +141,9 @@ class TestVectorScheduler:
                 scheduler.run(10, max_parallel_time=bad)
 
     def test_rejected_single_step_falls_back_to_exact(self, threshold4):
-        """The vector analogue of the scalar rigged-RNG regression: a
-        trial whose single-interaction leap is rejected must advance
-        via one exact scalar step, leaving the other trials' batched
+        """A trial whose single-interaction leap is rejected must
+        advance via one exact step, leaving the other trials' batched
         path untouched."""
-
-        class _RiggedRng:
-            def __init__(self, real, rigged_sample):
-                self._real = real
-                self._rigged = rigged_sample
-
-            def multinomial(self, n, probabilities):
-                if self._rigged is not None:
-                    sample, self._rigged = self._rigged, None
-                    return sample
-                return self._real.multinomial(n, probabilities)
-
-            def __getattr__(self, name):
-                return getattr(self._real, name)
-
         scheduler = VectorEnsembleScheduler(threshold4, trials=2, seed=0)
         scheduler.reset(10)
         # initially only the lowest power state is populated: find a
@@ -317,7 +324,9 @@ class TestLargePopulationPrecision:
 
     def test_batch_pair_distribution_is_exact(self):
         n = self.N
-        scheduler = BatchScheduler(_two_state_gap_protocol(), seed=0)
+        scheduler = VectorEnsembleScheduler(
+            _two_state_gap_protocol(), trials=1, seed=0
+        )
         scheduler.reset({"x": n - 2, "y": 2})
         keys, probabilities, inert = scheduler.pair_distribution()
         assert inert == 2 / (n * (n - 1))
@@ -338,15 +347,65 @@ class TestLargePopulationPrecision:
         assert by_key[("a", "a")] == (n - 2) * (n - 3) / (n * (n - 1))
 
 
+class TestPastInt64PairWeights:
+    """Populations whose ``n(n-1)`` exceeds int64 (n > ~3.04e9)."""
+
+    N = 5_000_000_000
+
+    def test_weights_switch_to_python_ints(self, threshold4):
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
+        scheduler.reset(3_000_000_000)
+        assert scheduler._weight_dtype is np.int64
+        scheduler.reset(self.N)
+        assert scheduler._weight_dtype is object
+        assert scheduler.counts.dtype == np.int64
+
+    def test_object_weights_sample_like_int64(self, threshold4):
+        """Both dtypes hold the same exact integers, so a seeded run
+        draws identically on either path."""
+        rows = []
+        for dtype in (np.int64, object):
+            scheduler = VectorEnsembleScheduler(threshold4, trials=4, seed=9)
+            scheduler.reset(5_000)
+            scheduler._weight_dtype = dtype
+            for _ in range(40):
+                scheduler.leap(np.full(4, 250, dtype=np.int64))
+            rows.append(scheduler.counts.copy())
+        assert (rows[0] == rows[1]).all()
+
+    def test_forced_rejection_takes_one_exact_step(self, threshold4):
+        """The exact fallback draws uniformly from [0, n(n-1)) without
+        asking numpy for an out-of-range bound."""
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
+        scheduler.reset(self.N)
+        bad_class = next(
+            index
+            for index, outcomes in enumerate(scheduler._pair_outcomes)
+            if any((scheduler.counts[0] + outcome < 0).any() for outcome in outcomes)
+        )
+        rigged = np.zeros((1, len(scheduler._pair_keys) + 1), dtype=np.int64)
+        rigged[0, bad_class] = 1
+        scheduler.rng = _RiggedRng(scheduler.rng, rigged)
+
+        assert scheduler.leap(np.array([1]))[0] == 1
+        assert scheduler.counts.sum() == self.N
+        assert (scheduler.counts >= 0).all()
+        snapshot = scheduler.instrumentation.snapshot()
+        assert snapshot.counter("leap_fallbacks") == 1
+        assert snapshot.counter("exact_steps") == 1
+
+
 class TestBudgetRegressions:
     def test_small_positive_budget_performs_an_interaction(self, threshold4):
         """Regression: int() truncation turned max_parallel_time=0.01 on
         a small population into a zero-interaction 'result'."""
-        result = BatchScheduler(threshold4, seed=0).run(8, max_parallel_time=0.01)
-        assert result.interactions >= 1
+        result = VectorEnsembleScheduler(threshold4, trials=1, seed=0).run(
+            8, max_parallel_time=0.01
+        )
+        assert result.interactions[0] >= 1
 
     def test_batch_rejects_bad_budgets(self, threshold4):
-        scheduler = BatchScheduler(threshold4, seed=0)
+        scheduler = VectorEnsembleScheduler(threshold4, trials=1, seed=0)
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 scheduler.run(8, max_parallel_time=bad)
