@@ -31,7 +31,8 @@ Comparison semantics (:func:`compare_artifacts`):
 * **time** — a regression needs *both* a relative excess over the
   threshold *and* a robust-significance excess (the median delta must
   exceed ``3 * (MAD_a + MAD_b)`` plus an absolute floor), so MAD-sized
-  jitter on a quiet workload never fires.
+  jitter on a quiet workload never fires; the rule is
+  :func:`repro.obs.profile.significant`, shared with profile diffs.
 * **memory** — same rule against the tracemalloc peaks, with a
   coarser default threshold (allocator layout shifts between Python
   versions).
@@ -51,6 +52,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from .bench import Workload, iter_workloads
 from .metrics import clear_registry, registry_snapshot
+from .profile import significant
 from .progress import progress
 from .tracer import NULL_TRACER, Tracer, set_tracer
 
@@ -278,7 +280,6 @@ def load_artifact(path: str) -> Dict[str, Any]:
 # sub-millisecond workloads jitter by full multiples on shared runners.
 _TIME_FLOOR_S = 0.002
 _MEMORY_FLOOR_KB = 256.0
-_MAD_SIGMA = 3.0
 
 
 @dataclass(frozen=True)
@@ -354,22 +355,6 @@ def _fmt_kb(kb: Optional[float]) -> str:
     return f"{kb:.0f}KB"
 
 
-def _significant(
-    base: float,
-    new: float,
-    base_mad: float,
-    new_mad: float,
-    *,
-    threshold: float,
-    floor: float,
-) -> bool:
-    """The robust two-condition change test (see module docstring)."""
-    delta = new - base
-    if delta <= max(floor, threshold * base):
-        return False
-    return delta > _MAD_SIGMA * (base_mad + new_mad) + floor
-
-
 def compare_artifacts(
     base: Mapping[str, Any],
     new: Mapping[str, Any],
@@ -425,7 +410,7 @@ def compare_artifacts(
         t_base, t_new = entry_base["median_s"], entry_new["median_s"]
         mad_base = entry_base.get("mad_s", 0.0)
         mad_new = entry_new.get("mad_s", 0.0)
-        if _significant(
+        if significant(
             t_base, t_new, mad_base, mad_new,
             threshold=time_threshold, floor=_TIME_FLOOR_S,
         ):
@@ -439,7 +424,7 @@ def compare_artifacts(
                 )
             )
             verdicts.append(f"time {t_new / t_base:.2f}x")
-        elif _significant(
+        elif significant(
             t_new, t_base, mad_new, mad_base,
             threshold=time_threshold, floor=_TIME_FLOOR_S,
         ):
@@ -457,7 +442,7 @@ def compare_artifacts(
         # Memory peaks, when both artifacts carried the memory pass.
         m_base, m_new = entry_base.get("peak_kb"), entry_new.get("peak_kb")
         if m_base is not None and m_new is not None:
-            if _significant(
+            if significant(
                 m_base, m_new, 0.0, 0.0,
                 threshold=memory_threshold, floor=_MEMORY_FLOOR_KB,
             ):

@@ -66,6 +66,7 @@ __all__ = [
     "ProfileFinding",
     "ProfileDiff",
     "diff_profiles",
+    "significant",
     "ProfileRecording",
     "record_workload_profile",
     "WorkAttribution",
@@ -84,9 +85,7 @@ PLUMBING_SPANS = frozenset({"parallel.pool", "parallel.task"})
 
 PATH_SEP = ";"
 
-# The ledger's robust-time rules, restated in microseconds: a time
-# delta is significant only when it clears both the relative threshold
-# and 3*(MAD_base + MAD_new) plus an absolute floor.
+# The ledger's absolute time floor, restated in microseconds.
 _TIME_FLOOR_US = 2000.0
 _MAD_SIGMA = 3.0
 
@@ -563,21 +562,26 @@ class ProfileDiff:
         return "\n".join(lines)
 
 
-def _time_significant(
-    base_us: float,
-    new_us: float,
+def significant(
+    base: float,
+    new: float,
     base_mad: float,
     new_mad: float,
+    *,
     threshold: float,
+    floor: float,
     count: int = 1,
 ) -> bool:
-    delta = new_us - base_us
-    if delta <= max(_TIME_FLOOR_US, threshold * base_us):
+    """The robust two-condition change test of ledger and profile diffs:
+    the delta must clear both ``max(floor, threshold * base)`` and
+    ``3 * count * (MAD_base + MAD_new) + floor``."""
+    delta = new - base
+    if delta <= max(floor, threshold * base):
         return False
-    # self_us is summed over every call on the path, so per-call MAD
-    # must be scaled by the call count or the guard underestimates
-    # aggregate jitter exactly where it accumulates most.
-    return delta > _MAD_SIGMA * max(count, 1) * (base_mad + new_mad) + _TIME_FLOOR_US
+    # A value summed over ``count`` calls needs per-call MAD scaled by
+    # the count, or the guard underestimates aggregate jitter exactly
+    # where it accumulates most.
+    return delta > _MAD_SIGMA * max(count, 1) * (base_mad + new_mad) + floor
 
 
 def diff_profiles(
@@ -648,9 +652,10 @@ def diff_profiles(
             verdicts.append("work drift")
 
         calls = max(stats_base.count, stats_new.count)
-        if _time_significant(
+        if significant(
             stats_base.self_us, stats_new.self_us,
-            stats_base.mad_us, stats_new.mad_us, time_threshold, calls,
+            stats_base.mad_us, stats_new.mad_us,
+            threshold=time_threshold, floor=_TIME_FLOOR_US, count=calls,
         ):
             ratio = stats_new.self_us / max(stats_base.self_us, 1e-9)
             diff.findings.append(
@@ -663,9 +668,10 @@ def diff_profiles(
                 )
             )
             verdicts.append(f"time {ratio:.2f}x")
-        elif _time_significant(
+        elif significant(
             stats_new.self_us, stats_base.self_us,
-            stats_new.mad_us, stats_base.mad_us, time_threshold, calls,
+            stats_new.mad_us, stats_base.mad_us,
+            threshold=time_threshold, floor=_TIME_FLOOR_US, count=calls,
         ):
             ratio = stats_base.self_us / max(stats_new.self_us, 1e-9)
             diff.findings.append(

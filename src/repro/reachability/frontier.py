@@ -11,11 +11,11 @@ wall:
 * **Deduplicating frontier.**  The tree is grown breadth-first, one
   level per round, and a configuration is enqueued only if its
   canonical form — the minimum over its orbit under the root-fixing
-  protocol automorphisms, computed from the cache's colour-refinement
-  classes (:func:`repro.cache.fingerprint._refined_colors`) — has never
-  been enqueued before.  With the trivial group this is exact
-  deduplication; every expansion is of a distinct canonical
-  configuration, so the work is bounded by the node count.  Branches
+  protocol automorphisms, taken from the symmetry module
+  (:func:`repro.core.symmetry.labelling`) — has never been enqueued
+  before.  With the trivial group this is exact deduplication; every
+  expansion is of a distinct canonical configuration, so the work is
+  bounded by the node count.  Branches
   still carry *genuine* ancestor chains — acceleration never compares
   against a permuted configuration, which keeps ω-introduction sound.
   Completeness holds by a jump argument: a pruned leaf equals an
@@ -47,7 +47,6 @@ wall:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,6 +63,7 @@ from typing import (
 
 from ..core.errors import SearchBudgetExceeded
 from ..core.protocol import IndexedProtocol, PopulationProtocol
+from ..core.symmetry import labelling
 from ..obs import progress
 from ..obs.runs import current_run
 from ..parallel import run_tasks
@@ -73,7 +73,6 @@ __all__ = [
     "OMEGA",
     "ExtendedConfig",
     "Permutation",
-    "DEFAULT_SYMMETRY_BUDGET",
     "CHECKPOINT_ANALYSIS",
     "CHECKPOINT_SCHEMA_VERSION",
     "apply_permutation",
@@ -92,7 +91,6 @@ ExtendedConfig = Tuple[Union[int, float], ...]
 Permutation = Tuple[int, ...]
 """A state-index permutation ``p`` acting on configs by ``c[j] -> c[p[j]]``."""
 
-DEFAULT_SYMMETRY_BUDGET = 5_040  # 7! — candidate permutations tried, tops
 CHECKPOINT_ANALYSIS = "coverability.checkpoint"
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -126,87 +124,35 @@ def canonical_config(config: ExtendedConfig, group: Sequence[Permutation]) -> Ex
     return min(apply_permutation(perm, config) for perm in group)
 
 
-def _transition_profile(indexed: IndexedProtocol) -> Dict[Tuple[Tuple[int, int], Tuple[int, ...]], int]:
-    profile: Dict[Tuple[Tuple[int, int], Tuple[int, ...]], int] = {}
-    for k in indexed.non_silent:
-        key = (indexed.pre_pairs[k], indexed.deltas[k])
-        profile[key] = profile.get(key, 0) + 1
-    return profile
-
-
 def configuration_symmetries(
     protocol: Union[PopulationProtocol, IndexedProtocol],
     roots: Sequence[ExtendedConfig],
 ) -> Tuple[Permutation, ...]:
     """Protocol automorphisms (as index permutations) fixing every root.
 
-    Candidates permute states only within their colour-refinement class
-    (the same invariant the cache fingerprint uses), then are filtered
-    by exact preservation of the non-silent transition multiset and of
-    each root configuration.  The survivors form a permutation group —
-    closed under composition and inverse by construction — returned in
-    the ``c[j] -> c[perm[j]]`` action convention, identity first.
-
-    When the candidate count exceeds :data:`DEFAULT_SYMMETRY_BUDGET` the
-    search is skipped entirely and only the identity is returned: a
-    smaller group merely weakens the deduplication, never its soundness.
+    The automorphisms come from :func:`repro.core.symmetry.labelling`:
+    two least orderings ``first`` and ``order`` give ``first[i] ->
+    order[i]``.  The root-fixing ones form a group, returned in the
+    ``c[j] -> c[perm[j]]`` action convention, identity first.  Past the
+    permutation budget only the identity is returned: a smaller group
+    merely weakens the deduplication, never its soundness.
     """
     indexed = protocol.indexed() if isinstance(protocol, PopulationProtocol) else protocol
-    base = indexed.protocol
-    n = indexed.n
-    identity: Permutation = tuple(range(n))
-    if n <= 1:
-        return (identity,)
-
-    from ..cache.fingerprint import _refined_colors
-
-    colors = _refined_colors(base)
-    classes: Dict[int, List[int]] = {}
-    for state, color in colors.items():
-        classes.setdefault(color, []).append(indexed.index[state])
-    blocks = [sorted(members) for _, members in sorted(classes.items())]
-
-    candidates = 1
-    for block in blocks:
-        candidates *= math.factorial(len(block))
-        if candidates > DEFAULT_SYMMETRY_BUDGET:
-            return (identity,)
-    if candidates <= 1:
-        return (identity,)
-
-    profile = _transition_profile(indexed)
+    found = labelling(indexed.protocol)
+    if found is None:
+        return (tuple(range(indexed.n)),)
+    index = indexed.index
     roots_t = [tuple(root) for root in roots]
     group: List[Permutation] = []
-    for images in itertools.product(*(itertools.permutations(block) for block in blocks)):
-        sigma = [0] * n  # sigma[i]: the state index i is renamed to
-        for block, image in zip(blocks, images):
-            for source, target in zip(block, image):
-                sigma[source] = target
-        mapped: Dict[Tuple[Tuple[int, int], Tuple[int, ...]], int] = {}
-        for k in indexed.non_silent:
-            i, j = indexed.pre_pairs[k]
-            pair = (sigma[i], sigma[j])
-            if pair[0] > pair[1]:
-                pair = (pair[1], pair[0])
-            delta = indexed.deltas[k]
-            image_delta = [0] * n
-            for idx in range(n):
-                image_delta[sigma[idx]] = delta[idx]
-            key = (pair, tuple(image_delta))
-            mapped[key] = mapped.get(key, 0) + 1
-        if mapped != profile:
-            continue
+    for order in found.orders:
         # Action convention: image[j] = c[sigma^-1(j)], so store the inverse.
-        perm = [0] * n
-        for idx in range(n):
-            perm[sigma[idx]] = idx
+        perm = [0] * indexed.n
+        for state, image in zip(found.orders[0], order):
+            perm[index[image]] = index[state]
         perm_t = tuple(perm)
         if all(apply_permutation(perm_t, root) == root for root in roots_t):
             group.append(perm_t)
-    group.sort()
-    if identity not in group:  # pragma: no cover - identity always survives
-        group.insert(0, identity)
-    return tuple(group)
+    return tuple(sorted(group))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import saturation_sequence, stable_slice
-from repro.analysis.symmetry import are_isomorphic
 from repro.bounds.pipeline import section4_certificate, section5_certificate
 from repro.cache import (
     CACHE_SCHEMA_VERSION,
@@ -44,6 +46,8 @@ from repro.protocols import binary_threshold, flat_threshold
 from repro.reachability.coverability import OMEGA, karp_miller
 from repro.reachability.pseudo import input_state, realisable_basis
 from repro.testing import protocols, renamings
+
+from .symmetry_oracle import brute_force_key, dead_states, listed_in
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fingerprints.json")
 
@@ -66,9 +70,12 @@ class TestFingerprintProperties:
     @given(st.data())
     def test_invariant_under_renaming(self, data):
         protocol = data.draw(protocols())
-        mapping = data.draw(renamings(protocol))
-        assert protocol_fingerprint(protocol.renamed(mapping)) == protocol_fingerprint(
-            protocol
+        renamed = protocol.renamed(data.draw(renamings(protocol)))
+        reordered = listed_in(renamed, data.draw(st.permutations(renamed.states)))
+        assert (
+            protocol_fingerprint(renamed)
+            == protocol_fingerprint(reordered)
+            == protocol_fingerprint(protocol)
         )
 
     @settings(max_examples=60, deadline=None)
@@ -89,11 +96,12 @@ class TestFingerprintProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_collision_iff_isomorphic(self, data):
-        """On small protocols the fingerprint is a complete invariant."""
+        """On small protocols the fingerprint is a complete invariant
+        (checked against the all-orderings brute-force reference)."""
         a = data.draw(protocols())
         b = data.draw(protocols())
-        assert (protocol_fingerprint(a) == protocol_fingerprint(b)) == are_isomorphic(
-            a, b
+        assert (protocol_fingerprint(a) == protocol_fingerprint(b)) == (
+            brute_force_key(a) == brute_force_key(b)
         )
 
     def test_distinct_outputs_distinct_fingerprint(self):
@@ -116,10 +124,13 @@ class TestFingerprintProperties:
         assert presentation_digest(renamed) != presentation_digest(protocol)
 
     def test_canonical_form_budget_fallback(self):
-        """A tiny permutation budget forces the presentation normal form."""
-        protocol = binary_threshold(4)
-        assert canonical_form(protocol) is not None
-        assert canonical_form(protocol, permutation_budget=0) is None
+        """Nine interchangeable dead states (9! orderings) exceed the
+        permutation budget: the presentation normal form takes over."""
+        assert canonical_form(binary_threshold(4)) is not None
+        protocol = dead_states(9)
+        assert canonical_form(protocol) is None
+        renamed = protocol.renamed({s: f"r{i}" for i, s in enumerate(protocol.states)})
+        assert protocol_fingerprint(renamed) != protocol_fingerprint(protocol)
 
 
 class TestGoldenFingerprints:
@@ -493,6 +504,25 @@ class TestCLIDifferential:
         assert "cleared" in capsys.readouterr().out
         assert main(["--cache-dir", directory, "cache", "stats", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["disk_entries"] == 0
+
+    def test_warm_process_served_from_cache(self, tmp_path):
+        """Fingerprints are stable across processes: a second process
+        reads everything the first one wrote."""
+        env = dict(os.environ)
+        env.pop("REPRO_NO_CACHE", None)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "repro", "--cache-dir", str(tmp_path / "cache"),
+                "analyze", "binary:4", "--max-input", "5"]
+
+        def run():
+            return subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+
+        cold, warm = run(), run()
+        assert warm.stdout == cold.stdout
+        match = re.search(r"cache: (\d+) hits, (\d+) misses", warm.stderr)
+        assert match, warm.stderr
+        assert int(match.group(1)) > 0 and int(match.group(2)) == 0
 
     def test_cache_commands_refuse_when_disabled(self, capsys):
         with pytest.raises(SystemExit):
