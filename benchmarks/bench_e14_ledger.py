@@ -23,8 +23,8 @@ import copy
 import json
 
 from repro.fmt import render_table, section
-from repro.obs import SCHEMA_VERSION, compare_artifacts, run_suite
 from repro.obs.bench import SUITE_MICRO, get_workload
+from repro.obs.ledger import SCHEMA_VERSION, compare_artifacts, run_suite
 
 # Fast anchors only: the full micro suite belongs to `repro bench run`;
 # E14 checks the machinery, not the numbers.

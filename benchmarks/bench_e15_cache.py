@@ -20,8 +20,8 @@ trade on the same workload pairs the ledger ships
 from __future__ import annotations
 
 from repro.fmt import render_table, section
-from repro.obs import run_suite
 from repro.obs.bench import SUITE_MICRO
+from repro.obs.ledger import run_suite
 
 PAIRS = ("karp_miller", "pottier")
 

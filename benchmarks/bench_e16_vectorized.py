@@ -24,8 +24,8 @@ draws.  E16 measures that trade on the ledger's shipped speedup pair
 from __future__ import annotations
 
 from repro.fmt import render_table, section
-from repro.obs import run_suite
 from repro.obs.bench import SUITE_MICRO
+from repro.obs.ledger import run_suite
 
 
 def vector_artifact(repeats: int = 3) -> dict:

@@ -23,8 +23,8 @@ The hard gates are the deterministic work counts.
 from __future__ import annotations
 
 from repro.fmt import render_table, section
-from repro.obs import run_suite
 from repro.obs.bench import SUITE_MICRO
+from repro.obs.ledger import run_suite
 
 
 def coverability_artifact(repeats: int = 3) -> dict:

@@ -84,7 +84,7 @@ print(
 #    artifact (median/MAD timing, peak memory, deterministic work
 #    counts).  `python -m repro bench run` is the CLI face of this.
 # ----------------------------------------------------------------------
-from repro.obs import compare_artifacts, run_suite
+from repro.obs.ledger import compare_artifacts, run_suite
 
 artifact = run_suite(
     "micro",

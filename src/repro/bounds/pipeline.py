@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 Config = Tuple[int, ...]
+Route = Tuple[Tuple[Transition, ...], Tuple[Transition, ...]]
 
 
 def _path_transitions(
@@ -400,7 +401,20 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
     verdicts = _stable_nodes(indexed, graph)
     for target in sorted(verdicts):
         stable_config = indexed.decode(target)
+        # The way-point depends only on the target and on 2|pi|, so the
+        # closure is computed once per target and each route once per
+        # distinct |pi|, shared by every candidate of that size.
+        reachers = sorted(graph.backward_closure([target]))
+        routes: Dict[int, Optional[Route]] = {}
         for element in candidates:
+            needed = 2 * element.size
+            if needed not in routes:
+                routes[needed] = _saturated_route(
+                    indexed, graph, initial, target, reachers, needed
+                )
+            route = routes[needed]
+            if route is None:
+                continue
             S = frozenset(element.configuration.support()) | frozenset(
                 q for q in stable_config.support() if stable_config[q] > cap
             )
@@ -410,28 +424,14 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
                     for q, c in stable_config.items()
                 }
             )
-            needed = 2 * element.size
-            # way-point: saturated node that can still reach the target
-            reachers = graph.backward_closure([target])
-            way_point = None
-            for node in sorted(reachers):
-                if min(node) >= needed:
-                    way_point = node
-                    break
-            if way_point is None:
-                continue
-            path_a = graph.shortest_path(initial, way_point)
-            path_b = graph.shortest_path(way_point, target)
-            if path_a is None or path_b is None:
-                continue
             certificate = SaturationCertificate(
                 protocol=protocol,
                 a=a,
                 b=element.input_size,
                 B=B,
                 S=S,
-                path_to_saturated=_path_transitions(indexed, path_a),
-                path_to_stable=_path_transitions(indexed, path_b),
+                path_to_saturated=route[0],
+                path_to_stable=route[1],
                 pi=element.pi,
             )
             try:
@@ -441,3 +441,21 @@ def _section5_attempt(protocol, indexed, a, candidates, cap, node_budget, span):
             except CertificateError:
                 continue
     return None
+
+
+def _saturated_route(indexed, graph, initial, target, reachers, needed) -> Optional[Route]:
+    """The run ``IC(a) ->* D ->* target`` through the least way-point ``D``.
+
+    ``D`` is the first node of ``reachers`` (the sorted backward closure
+    of ``target``) in which every state holds at least ``needed``
+    agents.  Returns the two transition paths, or ``None`` when no such
+    way-point exists or it is not connected to both ends.
+    """
+    way_point = next((node for node in reachers if min(node) >= needed), None)
+    if way_point is None:
+        return None
+    path_a = graph.shortest_path(initial, way_point)
+    path_b = graph.shortest_path(way_point, target)
+    if path_a is None or path_b is None:
+        return None
+    return _path_transitions(indexed, path_a), _path_transitions(indexed, path_b)

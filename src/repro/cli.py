@@ -49,7 +49,6 @@ from .core.parser import PredicateSyntaxError, parse_predicate
 from .core.protocol import PopulationProtocol
 from .io import dumps, loads, to_dot
 from .obs import (
-    DEFAULT_BASELINE_PATH as _DEFAULT_BASELINE,
     JsonlExporter,
     SpanExporter,
     Tracer,
@@ -64,7 +63,6 @@ from .obs import (
     trace_summary,
 )
 from .obs import runs as runlog
-from .obs.report import render_report_for_run
 from .protocols import (
     approximate_majority,
     binary_threshold,
@@ -85,12 +83,20 @@ from .simulation.ensembles import run_ensemble
 
 __all__ = ["main", "resolve_protocol"]
 
+# The ``bench baseline`` default, spelled out here so that building the
+# parser does not import the ledger; a test pins it to
+# ``repro.obs.ledger.DEFAULT_BASELINE_PATH``.
+_DEFAULT_BASELINE = os.path.join("benchmarks", "baselines", "BENCH_seed.json")
+
 
 def resolve_protocol(spec: str) -> PopulationProtocol:
     """Resolve a CLI protocol argument: JSON path or builtin spec."""
     if os.path.exists(spec):
-        with open(spec) as handle:
-            return loads(handle.read())
+        try:
+            with open(spec) as handle:
+                return loads(handle.read())
+        except (OSError, ValueError, ReproError) as error:
+            raise SystemExit(f"error: cannot read protocol file {spec!r}: {error}")
     name, _, argument = spec.partition(":")
     try:
         if name == "binary":
@@ -1048,6 +1054,8 @@ def _cmd_runs_gc(args) -> int:
 
 
 def _cmd_runs_report(args) -> int:
+    from .obs.report import render_report_for_run
+
     root, run_id = _resolve_run(args)
     try:
         document = render_report_for_run(root, run_id)
@@ -1182,7 +1190,7 @@ def _cmd_bench_baseline(args) -> int:
 
 def _cmd_bench_list(args) -> int:
     from .fmt import render_table
-    from .obs import iter_workloads
+    from .obs.bench import iter_workloads
 
     rows = [
         [w.name, ",".join(w.suites), "yes" if w.parallel else "-", w.description]

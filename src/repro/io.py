@@ -48,18 +48,23 @@ def protocol_to_dict(protocol: PopulationProtocol) -> Dict[str, Any]:
 
 def protocol_from_dict(data: Dict[str, Any]) -> PopulationProtocol:
     """Inverse of :func:`protocol_to_dict` (states become strings)."""
+    if not isinstance(data, dict):
+        raise ProtocolError("a serialised protocol is a JSON object")
     if data.get("format") != FORMAT_VERSION:
         raise ProtocolError(f"unsupported protocol format {data.get('format')!r}")
-    states: List[str] = list(data["states"])
-    if len(set(states)) != len(states):
-        raise ProtocolError("serialised states are not distinct after stringification")
-    transitions = tuple(
-        Transition(states[p], states[q], states[p2], states[q2])
-        for p, q, p2, q2 in data["transitions"]
-    )
-    leaders = Multiset({states[int(i)]: count for i, count in data["leaders"].items()})
-    inputs = {variable: states[i] for variable, i in data["inputs"].items()}
-    outputs = {state: b for state, b in zip(states, data["outputs"])}
+    try:
+        states: List[str] = list(data["states"])
+        if len(set(states)) != len(states):
+            raise ProtocolError("serialised states are not distinct after stringification")
+        transitions = tuple(
+            Transition(states[p], states[q], states[p2], states[q2])
+            for p, q, p2, q2 in data["transitions"]
+        )
+        leaders = Multiset({states[int(i)]: count for i, count in data["leaders"].items()})
+        inputs = {variable: states[i] for variable, i in data["inputs"].items()}
+        outputs = {state: b for state, b in zip(states, data["outputs"])}
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as error:
+        raise ProtocolError(f"malformed protocol document: {type(error).__name__}: {error}")
     return PopulationProtocol(
         states=tuple(states),
         transitions=transitions,

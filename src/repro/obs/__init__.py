@@ -27,32 +27,19 @@ This package makes them observable from three angles:
   recorder: a persistent run registry every CLI invocation records
   into (manifest, event stream, run-local trace; crash/kill capture)
   and the static HTML report renderer behind ``repro runs``.
+
+The package namespace re-exports the tracing, metrics, progress, trace
+reading and run-registry names that every command uses.  The reporting
+half (``bench``, ``ledger``, ``profile``, ``report``) is imported from
+its submodule by the commands that need it, so an ordinary command
+never loads it.
 """
 
-from .bench import (
-    Workload,
-    get_workload,
-    iter_workloads,
-    register_workload,
-    suite_names,
-)
 from .exporters import (
     ChromeTraceExporter,
     JsonlExporter,
     RecordingExporter,
     exporter_for_path,
-)
-from .ledger import (
-    DEFAULT_BASELINE_PATH,
-    ComparisonReport,
-    Finding,
-    LedgerError,
-    SCHEMA_VERSION,
-    compare_artifacts,
-    environment_fingerprint,
-    load_artifact,
-    run_suite,
-    write_artifact,
 )
 from .metrics import (
     Histogram,
@@ -71,23 +58,6 @@ from .progress import (
     progress_enabled,
     set_progress_interval,
 )
-from .profile import (
-    Profile,
-    ProfileDiff,
-    ProfileError,
-    ProfileFinding,
-    WorkAttribution,
-    attribute_work_drift,
-    build_profile,
-    diff_profiles,
-    load_profile,
-    record_workload_profile,
-    render_profile,
-    to_folded,
-    to_speedscope,
-    write_profile,
-)
-from .report import render_run_report
 from .runs import (
     RunRecorder,
     RunsError,
@@ -143,7 +113,6 @@ __all__ = [
     "load_manifest",
     "resolve_run_id",
     "gc_runs",
-    "render_run_report",
     "get_metrics",
     "registry_snapshot",
     "clear_registry",
@@ -151,33 +120,4 @@ __all__ = [
     "load_trace",
     "summarize_trace",
     "trace_summary",
-    "Profile",
-    "ProfileDiff",
-    "ProfileError",
-    "ProfileFinding",
-    "WorkAttribution",
-    "build_profile",
-    "diff_profiles",
-    "load_profile",
-    "record_workload_profile",
-    "render_profile",
-    "attribute_work_drift",
-    "to_folded",
-    "to_speedscope",
-    "write_profile",
-    "Workload",
-    "register_workload",
-    "get_workload",
-    "iter_workloads",
-    "suite_names",
-    "SCHEMA_VERSION",
-    "LedgerError",
-    "run_suite",
-    "write_artifact",
-    "load_artifact",
-    "environment_fingerprint",
-    "compare_artifacts",
-    "ComparisonReport",
-    "Finding",
-    "DEFAULT_BASELINE_PATH",
 ]

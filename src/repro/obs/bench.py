@@ -355,6 +355,26 @@ def _section4() -> Dict[str, int]:
 
 
 @register_workload(
+    "certify.section5",
+    description="Section 5 saturation certificate search at flat:5 (E6)",
+)
+def _section5() -> Dict[str, int]:
+    from ..bounds.pipeline import section5_certificate
+    from ..protocols import flat_threshold
+
+    # flat:5 first certifies at a = 25, so the search runs every input
+    # below it; the span counters add inputs_searched, basis_candidates
+    # and certificates_checked.
+    certificate = section5_certificate(flat_threshold(5), max_input=25)
+    found = certificate is not None
+    return {
+        "found": int(found),
+        "a": certificate.a if found else 0,
+        "b": certificate.b if found else 0,
+    }
+
+
+@register_workload(
     "verify.exact",
     description="exact predicate verification over all small inputs (E1)",
 )

@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import statistics
-import subprocess
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -54,6 +52,7 @@ from .bench import Workload, iter_workloads
 from .metrics import clear_registry, registry_snapshot
 from .profile import significant
 from .progress import progress
+from .runs import environment_fingerprint
 from .tracer import NULL_TRACER, Tracer, set_tracer
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "run_suite",
     "write_artifact",
     "load_artifact",
-    "environment_fingerprint",
     "Finding",
     "ComparisonReport",
     "compare_artifacts",
@@ -84,32 +82,6 @@ class LedgerError(ValueError):
 # ----------------------------------------------------------------------
 # Running a suite
 # ----------------------------------------------------------------------
-
-
-def environment_fingerprint(jobs: int) -> Dict[str, Any]:
-    """Where and how this artifact was produced (stored verbatim)."""
-    try:
-        sha = (
-            subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                capture_output=True,
-                text=True,
-                timeout=10,
-                check=True,
-            ).stdout.strip()
-            or None
-        )
-    except (OSError, subprocess.SubprocessError):
-        sha = None
-    return {
-        "git_sha": sha,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "jobs": jobs,
-    }
 
 
 def _median_mad(samples: Sequence[float]) -> Dict[str, float]:

@@ -46,8 +46,10 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import platform
 import shutil
 import signal
+import subprocess
 import threading
 import time
 import uuid
@@ -75,6 +77,7 @@ __all__ = [
     "follow_events",
     "gc_runs",
     "run_size_bytes",
+    "environment_fingerprint",
 ]
 
 MANIFEST_KIND = "repro-run"
@@ -168,16 +171,40 @@ def pid_alive(pid: Optional[int]) -> bool:
 _FINGERPRINT_CACHE: Optional[Dict[str, Any]] = None
 
 
+def environment_fingerprint(jobs: int) -> Dict[str, Any]:
+    """Where and how a run or ledger artifact was produced (stored verbatim)."""
+    try:
+        sha = (
+            subprocess.run(
+                ["git", "rev-parse", "HEAD"],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                check=True,
+            ).stdout.strip()
+            or None
+        )
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "jobs": jobs,
+    }
+
+
 def _environment_fingerprint(jobs: Optional[int]) -> Dict[str, Any]:
-    """The ledger's fingerprint, memoised per process.
+    """The environment fingerprint, memoised per process.
 
     ``environment_fingerprint`` shells out to git; one subprocess per
     manifest would dominate the open cost the overhead workload pins.
     """
     global _FINGERPRINT_CACHE
     if _FINGERPRINT_CACHE is None:
-        from .ledger import environment_fingerprint
-
         _FINGERPRINT_CACHE = environment_fingerprint(jobs=1)
     fingerprint = dict(_FINGERPRINT_CACHE)
     fingerprint["jobs"] = jobs

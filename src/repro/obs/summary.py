@@ -40,6 +40,7 @@ class SpanRecord:
 
 def _from_jsonl(lines: List[str]) -> List[SpanRecord]:
     records: List[SpanRecord] = []
+    any_record = False
     for index, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -53,11 +54,14 @@ def _from_jsonl(lines: List[str]) -> List[SpanRecord]:
             if index == len(lines) - 1:
                 continue
             raise
-        if payload.get("type") != "span":
+        if not isinstance(payload, dict) or "type" not in payload:
+            raise ValueError(f"line {index + 1} is not a trace record")
+        any_record = True
+        if payload["type"] != "span":
             continue
         records.append(
             SpanRecord(
-                name=payload["name"],
+                name=_span_name(payload, f"line {index + 1}"),
                 span_id=payload.get("id"),
                 parent_id=payload.get("parent"),
                 depth=int(payload.get("depth", 0)),
@@ -67,12 +71,14 @@ def _from_jsonl(lines: List[str]) -> List[SpanRecord]:
                 counters={k: int(v) for k, v in payload.get("counters", {}).items()},
             )
         )
+    if not any_record:
+        raise ValueError("no trace records: not a JSONL trace")
     return records
 
 
 def _from_chrome(document: Dict[str, Any]) -> List[SpanRecord]:
     records: List[SpanRecord] = []
-    for event in document.get("traceEvents", []):
+    for index, event in enumerate(document["traceEvents"]):
         if event.get("ph") != "X":
             continue
         args = dict(event.get("args", {}))
@@ -84,7 +90,7 @@ def _from_chrome(document: Dict[str, Any]) -> List[SpanRecord]:
         attributes = {k: v for k, v in args.items() if k not in counters}
         records.append(
             SpanRecord(
-                name=event["name"],
+                name=_span_name(event, f"trace event {index}"),
                 span_id=event.get("id"),
                 parent_id=parent,
                 depth=int(depth or 0),
@@ -97,8 +103,20 @@ def _from_chrome(document: Dict[str, Any]) -> List[SpanRecord]:
     return records
 
 
+def _span_name(payload: Dict[str, Any], where: str) -> str:
+    name = payload.get("name")
+    if not isinstance(name, str):
+        raise ValueError(f"{where}: span has no name")
+    return name
+
+
 def load_trace(path: str) -> List[SpanRecord]:
-    """Parse either trace format into span records (auto-detected)."""
+    """Parse either trace format into span records (auto-detected).
+
+    An empty file is an empty trace.  Anything else that is not a trace
+    (no complete JSONL record, a line, event or field of the wrong
+    shape, a span without a name) raises :class:`ValueError`.
+    """
     with open(path) as handle:
         text = handle.read()
     if not text.strip():
@@ -107,9 +125,14 @@ def load_trace(path: str) -> List[SpanRecord]:
         document = json.loads(text)
     except json.JSONDecodeError:
         document = None  # not one JSON document: treat as JSONL
-    if isinstance(document, dict) and "traceEvents" in document:
-        return _from_chrome(document)
-    return _from_jsonl(text.splitlines())
+    try:
+        if isinstance(document, dict) and "traceEvents" in document:
+            return _from_chrome(document)
+        return _from_jsonl(text.splitlines())
+    except (AttributeError, TypeError) as error:
+        # A record field of the wrong shape (counters that are not an
+        # object, say) is malformed input, not a reader bug.
+        raise ValueError(f"malformed trace record: {error}") from error
 
 
 _SORT_KEYS = {

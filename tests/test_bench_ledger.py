@@ -21,22 +21,25 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import (
-    LedgerError,
-    SCHEMA_VERSION,
-    clear_registry,
-    compare_artifacts,
-    disable_progress,
+from repro.obs import clear_registry, disable_progress, set_tracer
+from repro.obs.bench import (
+    SUITE_FULL,
+    SUITE_MICRO,
     get_workload,
     iter_workloads,
+    register_workload,
+    suite_names,
+)
+from repro.obs.ledger import (
+    DEFAULT_BASELINE_PATH,
+    SCHEMA_VERSION,
+    LedgerError,
+    compare_artifacts,
     load_artifact,
     run_suite,
-    set_tracer,
-    suite_names,
     write_artifact,
 )
-from repro.obs.bench import SUITE_FULL, SUITE_MICRO, register_workload
-from repro.obs.ledger import DEFAULT_BASELINE_PATH, environment_fingerprint
+from repro.obs.runs import environment_fingerprint
 
 FAST_WORKLOADS = ("saturation.sequence", "certify.section4")
 
@@ -196,6 +199,11 @@ class TestArtifactIO:
         assert env["jobs"] == 3
         # running inside this repo: the SHA resolves to 40 hex chars
         assert env["git_sha"] is None or len(env["git_sha"]) == 40
+
+    def test_cli_baseline_default_is_the_ledgers(self):
+        from repro import cli
+
+        assert cli._DEFAULT_BASELINE == DEFAULT_BASELINE_PATH
 
 
 def synthetic_artifact(median_s=0.050, mad_s=0.001, peak_kb=512.0, work=None):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,73 @@ def test_malformed_input_is_a_one_line_error(argv, message, code, capsys):
         text = err.splitlines()[-1].split(": ", 1)[1]
     assert text.startswith("error: ") and "\n" not in text
     assert message in text
+
+
+def _unreadable_protocol_file(tmp_path, kind):
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / f"{kind}.pp"
+    path.write_text({"not-json": "not json at all\n", "not-a-protocol": "[1, 2]\n"}[kind])
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["not-json", "directory", "not-a-protocol"])
+@pytest.mark.parametrize("command", [["describe"], ["analyze"]], ids=["describe", "analyze"])
+def test_unreadable_protocol_file_is_a_one_line_error(command, kind, tmp_path):
+    """A path that exists but holds no protocol is rejected, not a traceback."""
+    path = _unreadable_protocol_file(tmp_path, kind)
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + [path])
+    text = exit_info.value.code
+    assert isinstance(text, str) and "\n" not in text
+    assert text.startswith(f"error: cannot read protocol file {path!r}: ")
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("garbage.jsonl", "not a trace\n", "no trace records"),
+        ("lines.jsonl", "[1, 2]\n{\"type\": \"meta\"}\n", "line 1 is not a trace record"),
+        ("nameless.json", json.dumps({"traceEvents": [{"ph": "X", "ts": 0, "dur": 1}]}),
+         "trace event 0: span has no name"),
+        ("counters.jsonl", '{"type": "span", "name": "x", "counters": [1]}\n',
+         "malformed trace record"),
+    ],
+    ids=["garbage-jsonl", "non-record-line", "chrome-event-without-name", "field-of-wrong-shape"],
+)
+def test_malformed_trace_is_a_one_line_error(name, text, message, tmp_path, capsys):
+    (tmp_path / name).write_text(text)
+    path = str(tmp_path / name)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace", "summarize", path])
+    error = exit_info.value.code
+    assert isinstance(error, str) and "\n" not in error
+    assert error.startswith(f"error: cannot read trace {path!r}: ")
+    assert message in error
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_import_leaves_the_reporting_modules_unloaded(tmp_path):
+    """``import repro.cli`` and a recorded ``analyze`` never load the ledger,
+    the workload registry, the profiler or the HTML report."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, REPRO_RUNS_DIR=str(tmp_path / "runs"))
+    env.pop("REPRO_NO_RUNS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import contextlib, io, sys\n"
+        "import repro.cli\n"
+        "reporting = ['repro.obs.bench', 'repro.obs.ledger', 'repro.obs.profile', 'repro.obs.report']\n"
+        "print(sorted(m for m in reporting if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert repro.cli.main(['analyze', 'binary:2', 'x >= 2', '--max-input', '3']) == 0\n"
+        "print(sorted(m for m in reporting if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines() == ["[]", "[]"]
+    assert os.listdir(tmp_path / "runs"), "the command was recorded"
 
 
 def test_vector_engine_past_int64_pair_weights(capsys):
